@@ -138,14 +138,24 @@ void BM_GroundTruthEvents(benchmark::State& state) {
 }
 BENCHMARK(BM_GroundTruthEvents);
 
+/// Counts fired events; the cheapest handler the calendar can dispatch to.
+class CountingHandler : public EventHandler {
+ public:
+  void OnEvent(uint64_t key, double) override { fired += key; }
+  uint64_t fired = 0;
+};
+
 void BM_SimulationEventChurn(benchmark::State& state) {
   Simulation sim;
+  CountingHandler handler;
+  const uint32_t id = sim.AddHandler(&handler);
   double t = 0.0;
   for (auto _ : state) {
     t += 1.0;
-    sim.ScheduleAt(t, [](double) {});
+    sim.ScheduleAt(t, id, /*key=*/1);
     sim.RunUntil(t);
   }
+  benchmark::DoNotOptimize(handler.fired);
 }
 BENCHMARK(BM_SimulationEventChurn);
 

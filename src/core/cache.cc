@@ -11,15 +11,9 @@ CacheAgent::CacheAgent(int32_t cache_id, std::vector<int32_t> sources)
     : cache_id_(cache_id), source_ids_(std::move(sources)) {
   BESYNC_CHECK_GE(cache_id, 0);
   BESYNC_CHECK(!source_ids_.empty());
-  int32_t max_id = -1;
   for (size_t k = 0; k < source_ids_.size(); ++k) {
     BESYNC_CHECK_GE(source_ids_[k], 0);
     if (k > 0) BESYNC_CHECK_GT(source_ids_[k], source_ids_[k - 1]);
-    max_id = source_ids_[k];
-  }
-  slot_of_source_.assign(static_cast<size_t>(max_id) + 1, -1);
-  for (size_t k = 0; k < source_ids_.size(); ++k) {
-    slot_of_source_[source_ids_[k]] = static_cast<int32_t>(k);
   }
   sources_.resize(source_ids_.size());
   scratch_.resize(source_ids_.size());
@@ -40,12 +34,10 @@ CacheAgent::CacheAgent(int num_sources)
 }
 
 int CacheAgent::SlotOf(int32_t source_id) const {
-  BESYNC_DCHECK(source_id >= 0 &&
-                source_id < static_cast<int32_t>(slot_of_source_.size()));
-  const int slot = slot_of_source_[source_id];
-  BESYNC_DCHECK(slot >= 0) << "source " << source_id
-                           << " does not cooperate with cache " << cache_id_;
-  return slot;
+  const auto it = std::lower_bound(source_ids_.begin(), source_ids_.end(), source_id);
+  BESYNC_DCHECK(it != source_ids_.end() && *it == source_id)
+      << "source " << source_id << " does not cooperate with cache " << cache_id_;
+  return static_cast<int>(it - source_ids_.begin());
 }
 
 void CacheAgent::RecordRefresh(const Message& message, double /*t*/) {

@@ -57,10 +57,8 @@ class CacheAgent {
 
   int32_t cache_id_ = 0;
   /// Ascending source ids this cache cooperates with; slot k holds state for
-  /// source_ids_[k].
+  /// source_ids_[k] (SlotOf binary-searches it).
   std::vector<int32_t> source_ids_;
-  /// source id -> slot (-1 for uninterested sources).
-  std::vector<int32_t> slot_of_source_;
   std::vector<SourceInfo> sources_;
   std::vector<int> scratch_;  // reused slot buffer for selection
   int64_t refreshes_received_ = 0;

@@ -16,6 +16,7 @@ Harness::Harness(const Workload* workload, const DivergenceMetric* metric,
     : workload_(workload),
       metric_(metric),
       config_(config),
+      update_handler_(sim_.AddHandler(this)),
       scheduler_rng_(config.seed) {
   BESYNC_CHECK(workload != nullptr);
   BESYNC_CHECK(metric != nullptr);
@@ -103,7 +104,8 @@ void Harness::RefreshInstant(ObjectIndex index, double t) {
   }
 }
 
-void Harness::OnUpdateEvent(ObjectIndex index, double t) {
+void Harness::OnEvent(uint64_t key, double t) {
+  const ObjectIndex index = static_cast<ObjectIndex>(key);
   ObjectRuntime& object = objects_[index];
   object.state.value = object.spec->process->ApplyUpdate(object.state.value, &object.rng);
   ++object.state.version;
@@ -122,7 +124,7 @@ void Harness::ScheduleNextUpdate(ObjectIndex index, double now) {
   ObjectRuntime& object = objects_[index];
   const double next = object.spec->process->NextUpdateTime(now, &object.rng);
   if (!std::isfinite(next)) return;
-  sim_.ScheduleAt(next, [this, index](double t) { OnUpdateEvent(index, t); });
+  sim_.ScheduleAt(next, update_handler_, static_cast<uint64_t>(index));
 }
 
 Status Harness::Run(Scheduler* scheduler) {

@@ -171,7 +171,8 @@ class Scheduler {
 /// Owns the simulation clock, the object runtimes, the update event stream
 /// and the ground-truth divergence accounting; drives a Scheduler through
 /// warm-up and measurement. One Harness instance runs one scheduler once.
-class Harness {
+/// Update events are its own simulation events, keyed by object index.
+class Harness : private EventHandler {
  public:
   /// All pointers must outlive the harness.
   Harness(const Workload* workload, const DivergenceMetric* metric,
@@ -236,13 +237,15 @@ class Harness {
   void RefreshInstant(ObjectIndex index, double t);
 
  private:
-  void OnUpdateEvent(ObjectIndex index, double t);
+  /// Update event of object `key`.
+  void OnEvent(uint64_t key, double t) override;
   void ScheduleNextUpdate(ObjectIndex index, double now);
 
   const Workload* workload_;
   const DivergenceMetric* metric_;
   HarnessConfig config_;
   Simulation sim_;
+  uint32_t update_handler_;
   /// Backs the flat tracker array and the primary ground truth's replica
   /// entries; declared before the structures pointing into it.
   Arena arena_;

@@ -84,6 +84,9 @@ void SourceAgent::BuildChannels() {
     std::copy(channel_replicas.begin(), channel_replicas.end(),
               channel.replica_slots);
     channel.locals = arena->AllocateArray<LocalState>(channel_members.size());
+    if (config_.monitor == MonitorMode::kSampling) {
+      channel.sampled = arena->AllocateArray<SampledTracker>(channel_members.size());
+    }
     if (protocol_ != nullptr && protocol_->emits_invalidations()) {
       channel.invalid_state =
           arena->AllocateArray<uint8_t>(channel_members.size(), uint8_t{kReplicaFresh});
@@ -190,6 +193,9 @@ void SourceAgent::Start(Simulation* sim, double tick_length) {
     }
   }
   if (config_.monitor == MonitorMode::kSampling) {
+    BESYNC_CHECK_LE(members_.size(), size_t{1} << 32)
+        << "sample keys hold a 32-bit object offset";
+    sample_handler_ = sim->AddHandler(this);
     Rng* rng = harness_->scheduler_rng();
     // Object-major so the single-cache draw sequence (one offset per object)
     // is preserved; each replica gets its own staggered schedule.
@@ -199,9 +205,7 @@ void SourceAgent::Start(Simulation* sim, double tick_length) {
         if (channels_[c].slot_of[k] < 0) continue;
         // Stagger initial samples so sampling load is spread over time.
         const double offset = rng->Uniform(0.0, config_.sampling_interval);
-        sim->ScheduleAt(offset, [this, c, index](double t) {
-          OnSampleEvent(c, index, t, sim_);
-        });
+        sim->ScheduleAt(offset, sample_handler_, SampleKey(c, index));
       }
     }
   }
@@ -279,41 +283,40 @@ void SourceAgent::MaybeCompact(Channel* channel) {
   }
 }
 
-void SourceAgent::OnSampleEvent(int channel_index, ObjectIndex index, double t,
-                                Simulation* sim) {
+void SourceAgent::OnEvent(uint64_t key, double t) {
+  const int channel_index = static_cast<int>(key >> 32);
+  const ObjectIndex index = first_member_ + static_cast<ObjectIndex>(key & 0xffffffffu);
   Channel& channel = channels_[channel_index];
   const int slot = ChannelSlot(channel, index);
   LocalState& state = channel.locals[slot];
+  SampledTracker& sampled = channel.sampled[slot];
   // Direct measurement: the source compares its live value against the copy
   // it last shipped to this cache — exactly what the exact tracker's current
   // divergence is.
   const double divergence =
       harness_->object(index).tracker(channel.replica_slots[slot]).current_divergence();
-  state.sampled.AddSample(t, divergence);
+  sampled.AddSample(t, divergence);
   ++state.epoch;
   const double weight = harness_->WeightAt(index, t);
-  channel.queue.Push(state.sampled.EstimatedPriority(t) * weight, index, state.epoch);
+  channel.queue.Push(sampled.EstimatedPriority(t) * weight, index, state.epoch);
   MaybeCompact(&channel);
-  ScheduleNextSample(channel_index, index, t, sim);
+  ScheduleNextSample(channel_index, index, t);
 }
 
-void SourceAgent::ScheduleNextSample(int channel_index, ObjectIndex index, double now,
-                                     Simulation* sim) {
+void SourceAgent::ScheduleNextSample(int channel_index, ObjectIndex index, double now) {
   double next = now + config_.sampling_interval;
   if (config_.predictive_sampling) {
-    Channel& channel = channels_[channel_index];
-    const LocalState& state = channel.locals[ChannelSlot(channel, index)];
+    const Channel& channel = channels_[channel_index];
+    const SampledTracker& sampled = channel.sampled[ChannelSlot(channel, index)];
     const double weight = harness_->WeightAt(index, now);
     const double predicted =
-        state.sampled.PredictCrossTime(channel.controller.threshold(), weight, now);
+        sampled.PredictCrossTime(channel.controller.threshold(), weight, now);
     // Sample "somewhat before" the predicted crossing, but never more often
     // than the minimum gap and never later than the base interval.
     const double candidate = std::max(now + config_.min_sampling_gap, predicted * 0.95);
     next = std::min(next, candidate);
   }
-  sim->ScheduleAt(next, [this, channel_index, index](double t) {
-    OnSampleEvent(channel_index, index, t, sim_);
-  });
+  sim_->ScheduleAt(next, sample_handler_, SampleKey(channel_index, index));
 }
 
 void SourceAgent::OnFeedback(const Message& message, double t) {
@@ -362,9 +365,7 @@ void SourceAgent::EmitRefresh(Channel* channel, ObjectIndex index, double now,
     state.history.OnRefresh(now - tracker.last_refresh_time(), tracker.IntegralTo(now));
   }
   Message message = harness_->MakeRefreshMessage(index, channel->cache_id, now);
-  if (config_.monitor == MonitorMode::kSampling) {
-    state.sampled.OnRefresh(now);
-  }
+  if (channel->sampled != nullptr) channel->sampled[slot].OnRefresh(now);
   if (bump_threshold) channel->controller.OnRefreshSent(now);
   // Piggyback the current (post-increase) threshold: the freshest
   // information the cache can have about this source.
@@ -400,9 +401,7 @@ Message SourceAgent::ServePull(ObjectIndex index, int32_t cache_id, double now) 
     state.history.OnRefresh(now - tracker.last_refresh_time(), tracker.IntegralTo(now));
   }
   Message message = harness_->MakeRefreshMessage(index, cache_id, now);
-  if (config_.monitor == MonitorMode::kSampling) {
-    state.sampled.OnRefresh(now);
-  }
+  if (channel->sampled != nullptr) channel->sampled[slot].OnRefresh(now);
   message.is_pull = true;
   message.piggyback_threshold = channel->controller.threshold();
   // Demand traffic: priority-preserving relays forward pulls ahead of any
@@ -527,9 +526,7 @@ void SourceAgent::EmitBatch(Channel* channel, const std::vector<QueueEntry>& bat
       state.history.OnRefresh(now - tracker.last_refresh_time(),
                               tracker.IntegralTo(now));
     }
-    if (config_.monitor == MonitorMode::kSampling) {
-      state.sampled.OnRefresh(now);
-    }
+    if (channel->sampled != nullptr) channel->sampled[slot].OnRefresh(now);
     int64_t version = 0;
     if (k == 0) {
       message = harness_->MakeRefreshMessage(index, channel->cache_id, now);

@@ -63,7 +63,9 @@ struct SourceAgentConfig {
 /// source-side bandwidth available it refreshes, per cache, its
 /// highest-priority objects whose priority exceeds that cache's threshold.
 /// Feedback from cache c adjusts T_{j,c} only.
-class SourceAgent {
+/// Under sampling-based monitoring its per-replica sample events are its own
+/// simulation events, keyed by channel and object.
+class SourceAgent : private EventHandler {
  public:
   /// `policy` and `harness` must outlive the agent.
   /// `expected_feedback_period` is the fallback P_feedback used for every
@@ -232,7 +234,6 @@ class SourceAgent {
  private:
   struct LocalState {
     uint64_t epoch = 0;
-    SampledTracker sampled;
     HistoryRateEstimator history;
   };
 
@@ -252,8 +253,8 @@ class SourceAgent {
   /// Per-cache protocol state: threshold controller T_{j,c}, the priority
   /// queues over the objects replicated at the cache, and the per-replica
   /// monitoring state. The fixed-size per-object tables (members, slot_of,
-  /// replica_slots, locals) are arena spans carved from the harness run
-  /// arena by BuildChannels — sized once from the interest map, never
+  /// replica_slots, locals, sampled) are arena spans carved from the harness
+  /// run arena by BuildChannels — sized once from the interest map, never
   /// resized, and freed wholesale with the run.
   struct Channel {
     Channel(int32_t cache, const ThresholdConfig& config, double feedback_period)
@@ -270,6 +271,9 @@ class SourceAgent {
     /// Replica slot of each channel member at this cache (tracker index).
     int32_t* replica_slots = nullptr;
     LocalState* locals = nullptr;
+    /// Per-member sampled-divergence estimators, aligned with `locals`;
+    /// allocated only under MonitorMode::kSampling (null otherwise).
+    SampledTracker* sampled = nullptr;
     /// Event-keyed queue: priority recomputed on updates (or samples).
     LazyMaxHeap queue;
     /// Competitive mode: the same objects keyed by the source's own priority.
@@ -326,9 +330,15 @@ class SourceAgent {
     }
   };
 
-  void OnSampleEvent(int channel_index, ObjectIndex index, double t, Simulation* sim);
-  void ScheduleNextSample(int channel_index, ObjectIndex index, double now,
-                          Simulation* sim);
+  /// Sample event of the replica SampleKey(channel, index).
+  void OnEvent(uint64_t key, double t) override;
+  /// Event key of a replica's sample: channel index in the high 32 bits,
+  /// the object's source-local offset in the low 32.
+  uint64_t SampleKey(int channel_index, ObjectIndex index) const {
+    return (static_cast<uint64_t>(channel_index) << 32) |
+           static_cast<uint64_t>(index - first_member_);
+  }
+  void ScheduleNextSample(int channel_index, ObjectIndex index, double now);
   /// Sends one refresh for `index` to `channel`'s cache (budget already
   /// secured). Threshold bumping applies only to refreshes governed by the
   /// threshold protocol. `priority` is the queue key that won the send slot,
@@ -377,6 +387,8 @@ class SourceAgent {
   int64_t invalidations_sent_ = 0;
   double granted_rate_ = 0.0;
   Simulation* sim_ = nullptr;
+  /// This agent's handler id on sim_ (sampling mode only).
+  uint32_t sample_handler_ = 0;
   /// This source's trace buffer; null unless observability tracing is on.
   TraceBuffer* trace_ = nullptr;
   /// Send-phase scratch, reused across ticks so the per-tick loops do not

@@ -1,7 +1,6 @@
 #include "core/system.h"
 
 #include <algorithm>
-#include <iterator>
 
 #include "util/logging.h"
 
@@ -89,7 +88,10 @@ void CooperativeScheduler::Initialize(Harness* harness) {
   net_config.source_bandwidth_avg = config_.source_bandwidth_avg;
   net_config.bandwidth_change_rate = config_.bandwidth_change_rate;
   net_config.topology = topology;
-  network_ = std::make_unique<Network>(net_config, harness->scheduler_rng());
+  sources_by_cache_ = SourcesByCache(workload);
+  sources_by_cache_.resize(static_cast<size_t>(num_caches));
+  network_ = std::make_unique<Network>(net_config, harness->scheduler_rng(),
+                                       sources_by_cache_);
   // Leaf-edge loss first, in cache order — the historical RNG consumption —
   // then relay-edge loss (extra draws only on lossy relay edges, so a
   // pass-through tree leaves the seed stream untouched).
@@ -111,10 +113,6 @@ void CooperativeScheduler::Initialize(Harness* harness) {
     relays_.push_back(std::make_unique<RelayAgent>(
         n, config_.relay_forward, topology.EdgeValue(topology.edge_latency, n, 0.0)));
   }
-
-  sources_by_cache_ = SourcesByCache(workload);
-  sources_by_cache_.resize(static_cast<size_t>(num_caches));
-  RebuildSourcesByNode();
 
   // The effective fault schedule: the config's wins over the workload's
   // (mirroring the topology rule); empty keeps every fault hook cold.
@@ -640,8 +638,9 @@ void CooperativeScheduler::Tick(double t) {
     //    caches themselves and the pump is a no-op.
     relay_control_moved_->Increment(network_->PumpControlUpstream());
     for (int32_t node : network_->tier1_nodes()) {
-      for (int32_t j : sources_by_node_[node]) {
-        for (const Message& message : network_->TakeSourceMail(node, j)) {
+      for (int32_t j : network_->mail_sources(node)) {
+        network_->TakeSourceMail(node, j, &control_mail_);
+        for (const Message& message : control_mail_) {
           if (message.kind == MessageKind::kPullRequest) {
             ServePull(message, t);
           } else {
@@ -776,28 +775,6 @@ void CooperativeScheduler::Tick(double t) {
   if (obs_ != nullptr) ObsOnTickEnd(t);
 }
 
-void CooperativeScheduler::RebuildSourcesByNode() {
-  // Per-node interested sources: a relay's list is the sorted union over
-  // its (live) subtree's leaves. Built children-before-parents — the
-  // reverse of the downstream order — so each child is final before its
-  // parent merges it; a dead relay keeps an empty list and is skipped by
-  // the control pump anyway.
-  sources_by_node_.assign(static_cast<size_t>(network_->num_nodes()), {});
-  for (int c = 0; c < network_->num_caches(); ++c) {
-    sources_by_node_[c] = sources_by_cache_[c];
-  }
-  const std::vector<int32_t>& downstream = network_->downstream_relays();
-  for (auto it = downstream.rbegin(); it != downstream.rend(); ++it) {
-    std::vector<int32_t>& merged = sources_by_node_[*it];
-    for (int32_t child : network_->children(*it)) {
-      std::vector<int32_t> combined;
-      std::set_union(merged.begin(), merged.end(), sources_by_node_[child].begin(),
-                     sources_by_node_[child].end(), std::back_inserter(combined));
-      merged = std::move(combined);
-    }
-  }
-}
-
 void CooperativeScheduler::ApplyDueFaults(double t) {
   while (fault_cursor_ < fault_events_.size() &&
          fault_events_[fault_cursor_].time <= t) {
@@ -897,13 +874,11 @@ void CooperativeScheduler::ApplyFaultEvent(const FaultEvent& event, double t) {
           network_->first_hop_link(message.cache_id).Enqueue(std::move(message));
         }
       }
-      RebuildSourcesByNode();
       return;
     }
     case FaultEventKind::kRelayRecover:
       if (network_->relay_alive(event.node)) return;
       network_->RecoverRelay(event.node);
-      RebuildSourcesByNode();
       return;
     case FaultEventKind::kLinkDown:
       if (!network_->cache_link(event.node).is_down()) {

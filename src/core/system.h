@@ -257,9 +257,6 @@ class CooperativeScheduler : public Scheduler {
   /// Marks resync-outstanding replicas of cache `c` delivered; closes the
   /// episode (into the time-to-resync digest) when the last one lands.
   void NoteResyncDelivery(int c, const Message& message, double t);
-  /// Rebuilds sources_by_node_ from the network's current (post-failover)
-  /// routing: a relay's list is the sorted union over its live subtree.
-  void RebuildSourcesByNode();
 
   /// Serves one miss-triggered pull request at its source: builds the
   /// refresh-shaped pull response (marked Message::is_pull, current
@@ -283,10 +280,9 @@ class CooperativeScheduler : public Scheduler {
   std::vector<std::unique_ptr<RelayAgent>> relays_;
   /// Per cache: the ascending source ids with >= 1 object replicated there.
   std::vector<std::vector<int32_t>> sources_by_cache_;
-  /// Per topology node: the ascending source ids with >= 1 object
-  /// replicated somewhere in the node's subtree (leaf entries ==
-  /// sources_by_cache_). Drives the tier-1 feedback drain.
-  std::vector<std::vector<int32_t>> sources_by_node_;
+  /// Control mail drained from one tier-1 (node, source) box, reused
+  /// across ticks.
+  std::vector<Message> control_mail_;
   std::vector<int> source_order_;
   std::vector<int32_t> object_source_;
   /// Client read streams, residency/eviction and pull bookkeeping; inert

@@ -1,6 +1,7 @@
 #include "net/network.h"
 
 #include <algorithm>
+#include <iterator>
 #include <string>
 #include <utility>
 
@@ -14,7 +15,9 @@ namespace {
 constexpr double kUnconstrainedBandwidth = 1e12;
 }  // namespace
 
-Network::Network(const NetworkConfig& config, Rng* rng) : config_(config) {
+Network::Network(const NetworkConfig& config, Rng* rng,
+                 const std::vector<std::vector<int32_t>>& sources_by_cache)
+    : config_(config) {
   BESYNC_CHECK_GE(config.num_sources, 1);
   BESYNC_CHECK_GE(config.num_caches, 1);
   BESYNC_CHECK_GT(config.cache_bandwidth_avg, 0.0);
@@ -103,10 +106,7 @@ Network::Network(const NetworkConfig& config, Rng* rng) : config_(config) {
     for (int c = 0; c < config.num_caches; ++c) tier1_nodes_[c] = c;
   }
 
-  const size_t slots =
-      static_cast<size_t>(num_nodes()) * static_cast<size_t>(config.num_sources);
-  mail_incoming_.resize(slots);
-  mail_deliverable_.resize(slots);
+  BuildMailBoxes(sources_by_cache);
 
   all_links_.reserve(cache_links_.size() + source_links_.size() +
                      relay_links_.size() + relay_egress_.size());
@@ -116,13 +116,88 @@ Network::Network(const NetworkConfig& config, Rng* rng) : config_(config) {
   for (auto& link : relay_egress_) all_links_.push_back(link.get());
 }
 
-size_t Network::MailSlot(int node, int source_index) const {
+void Network::BuildMailBoxes(
+    const std::vector<std::vector<int32_t>>& sources_by_cache) {
+  const int leaves = num_caches();
+  const int nodes = num_nodes();
+  mail_sources_.assign(static_cast<size_t>(nodes), {});
+  if (sources_by_cache.empty()) {
+    std::vector<int32_t> all(static_cast<size_t>(num_sources()));
+    for (int j = 0; j < num_sources(); ++j) all[j] = j;
+    for (int c = 0; c < leaves; ++c) mail_sources_[c] = all;
+  } else {
+    BESYNC_CHECK_EQ(sources_by_cache.size(), static_cast<size_t>(leaves));
+    for (int c = 0; c < leaves; ++c) {
+      const std::vector<int32_t>& list = sources_by_cache[c];
+      for (size_t k = 0; k < list.size(); ++k) {
+        BESYNC_CHECK(list[k] >= 0 && list[k] < num_sources())
+            << "cache " << c << " lists unknown source " << list[k];
+        if (k > 0) BESYNC_CHECK_GT(list[k], list[k - 1]);
+      }
+      mail_sources_[c] = list;
+    }
+  }
+  if (has_relays()) {
+    // A relay can come to hold mail from its own children and, while a
+    // relay it backs up is down, from that relay's children. Its list is
+    // the union over all of them, closed by iterating to a fixed point
+    // (lists only grow, so the first pass that adds nothing ends it).
+    const TopologySpec& topology = config_.topology;
+    std::vector<std::vector<int32_t>> possible_children(static_cast<size_t>(nodes));
+    for (int n = 0; n < nodes; ++n) {
+      const int32_t p = topology.parent[n];
+      if (p == -1) continue;
+      possible_children[p].push_back(static_cast<int32_t>(n));
+      const int32_t backup = topology.BackupParentOf(p);
+      if (backup != -1) possible_children[backup].push_back(static_cast<int32_t>(n));
+    }
+    const std::vector<int32_t> relays = topology.RelaysBottomUp();
+    std::vector<int32_t> merged;
+    bool grew = true;
+    while (grew) {
+      grew = false;
+      for (int32_t relay : relays) {
+        std::vector<int32_t>& list = mail_sources_[relay];
+        for (int32_t child : possible_children[relay]) {
+          const std::vector<int32_t>& add = mail_sources_[child];
+          merged.clear();
+          std::set_union(list.begin(), list.end(), add.begin(), add.end(),
+                         std::back_inserter(merged));
+          if (merged.size() != list.size()) {
+            list = merged;
+            grew = true;
+          }
+        }
+      }
+    }
+  }
+  mail_base_.resize(static_cast<size_t>(nodes));
+  int32_t total = 0;
+  for (int n = 0; n < nodes; ++n) {
+    mail_base_[n] = total;
+    total += static_cast<int32_t>(mail_sources_[n].size());
+  }
+  boxes_.resize(static_cast<size_t>(total));
+}
+
+const std::vector<int32_t>& Network::mail_sources(int node) const {
   BESYNC_CHECK_GE(node, 0);
   BESYNC_CHECK_LT(node, num_nodes());
-  BESYNC_CHECK_GE(source_index, 0);
-  BESYNC_CHECK_LT(source_index, num_sources());
-  return static_cast<size_t>(node) * static_cast<size_t>(num_sources()) +
-         static_cast<size_t>(source_index);
+  return mail_sources_[node];
+}
+
+int32_t Network::FindBox(int node, int source_index) const {
+  const std::vector<int32_t>& sources = mail_sources(node);
+  const auto it = std::lower_bound(sources.begin(), sources.end(), source_index);
+  if (it == sources.end() || *it != source_index) return -1;
+  return mail_base_[node] + static_cast<int32_t>(it - sources.begin());
+}
+
+int32_t Network::BoxOf(int node, int source_index) const {
+  const int32_t box = FindBox(node, source_index);
+  BESYNC_CHECK_GE(box, 0) << "node " << node << " has no control mail with source "
+                          << source_index;
+  return box;
 }
 
 void Network::BeginTick(double tick_start, double tick_len, ShardPool* pool) {
@@ -140,11 +215,10 @@ void Network::BeginTick(double tick_start, double tick_len, ShardPool* pool) {
   } else {
     for (Link* link : all_links_) link->BeginTick(tick_start, tick_len);
   }
-  for (size_t slot : dirty_incoming_) {
-    for (auto& message : mail_incoming_[slot]) {
-      mail_deliverable_[slot].push_back(std::move(message));
-    }
-    mail_incoming_[slot].clear();
+  for (int32_t box : dirty_incoming_) {
+    MailBox& mail = boxes_[box];
+    for (auto& message : mail.incoming) mail.deliverable.push_back(std::move(message));
+    mail.incoming.clear();
   }
   dirty_incoming_.clear();
 }
@@ -283,12 +357,15 @@ void Network::FailRelay(int node) {
   // originating leaf, preserving order: the next PumpControlUpstream walks
   // it up the rebuilt tree, so feedback survives the failover. (Mail
   // normally drains every tick, so these buffers are almost always empty.)
-  for (int j = 0; j < num_sources(); ++j) {
-    BESYNC_DCHECK(mail_incoming_[MailSlot(node, j)].empty())
+  const std::vector<int32_t>& sources = mail_sources_[node];
+  for (size_t k = 0; k < sources.size(); ++k) {
+    MailBox& mail = boxes_[mail_base_[node] + static_cast<int32_t>(k)];
+    BESYNC_DCHECK(mail.incoming.empty())
         << "control mail is only ever deposited at leaf edges";
-    auto held = std::exchange(mail_deliverable_[MailSlot(node, j)], {});
+    auto held = std::exchange(mail.deliverable, {});
     for (auto& message : held) {
-      mail_deliverable_[MailSlot(message.cache_id, j)].push_back(std::move(message));
+      boxes_[BoxOf(message.cache_id, sources[k])].deliverable.push_back(
+          std::move(message));
     }
   }
 }
@@ -307,9 +384,9 @@ void Network::RecoverRelay(int node) {
 void Network::SendToSource(int cache_id, int source_index, Message message) {
   BESYNC_CHECK_LT(cache_id, num_caches());
   message.cache_id = cache_id;
-  const size_t slot = MailSlot(cache_id, source_index);
-  if (mail_incoming_[slot].empty()) dirty_incoming_.push_back(slot);
-  mail_incoming_[slot].push_back(std::move(message));
+  const int32_t box = BoxOf(cache_id, source_index);
+  if (boxes_[box].incoming.empty()) dirty_incoming_.push_back(box);
+  boxes_[box].incoming.push_back(std::move(message));
 }
 
 void Network::SendToSource(int source_index, Message message) {
@@ -321,12 +398,15 @@ int64_t Network::PumpControlUpstream() {
   // Children before parents: a relay drains its children's edges after any
   // lower relay has already pushed mail onto them, so every message reaches
   // its tier-1 edge within one pump.
+  // A relay's box list covers each child's, so every nonempty child box
+  // has a counterpart.
   for (int32_t relay : upstream_relays_) {
     for (int32_t child : children_[relay]) {
-      for (int j = 0; j < num_sources(); ++j) {
-        auto& from = mail_deliverable_[MailSlot(child, j)];
+      const std::vector<int32_t>& sources = mail_sources_[child];
+      for (size_t k = 0; k < sources.size(); ++k) {
+        auto& from = boxes_[mail_base_[child] + static_cast<int32_t>(k)].deliverable;
         if (from.empty()) continue;
-        auto& to = mail_deliverable_[MailSlot(relay, j)];
+        auto& to = boxes_[BoxOf(relay, sources[k])].deliverable;
         moved += static_cast<int64_t>(from.size());
         for (auto& message : from) to.push_back(std::move(message));
         from.clear();
@@ -336,12 +416,11 @@ int64_t Network::PumpControlUpstream() {
   return moved;
 }
 
-std::vector<Message> Network::TakeSourceMail(int node, int source_index) {
-  return std::exchange(mail_deliverable_[MailSlot(node, source_index)], {});
-}
-
-std::vector<Message> Network::TakeSourceMail(int source_index) {
-  return TakeSourceMail(/*node=*/0, source_index);
+void Network::TakeSourceMail(int node, int source_index, std::vector<Message>* out) {
+  out->clear();
+  const int32_t box = FindBox(node, source_index);
+  // Swap only when there is mail, so idle boxes never pick up capacity.
+  if (box >= 0 && !boxes_[box].deliverable.empty()) out->swap(boxes_[box].deliverable);
 }
 
 void Network::FinishTick() {

@@ -1,6 +1,8 @@
 #ifndef BESYNC_NET_NETWORK_H_
 #define BESYNC_NET_NETWORK_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -55,9 +57,19 @@ struct NetworkConfig {
 /// edge to c's tier-1 ancestor within that tick (relays forward control
 /// mail promptly — see DESIGN.md), so end-to-end control latency is one
 /// tick at any depth, exactly matching the flat protocol.
+///
+/// Mail boxes exist only for the (node, source) pairs that can carry mail:
+/// a leaf's sources are the ones it cooperates with, and a relay's are the
+/// union over every child it can have — its own children and, through
+/// failover, the children of the relays it backs up. Run state therefore
+/// grows with the interest pairs, not with nodes x sources.
 class Network {
  public:
-  Network(const NetworkConfig& config, Rng* rng);
+  /// `sources_by_cache[c]` lists, ascending, the sources leaf c exchanges
+  /// control mail with (core uses SourcesByCache of the workload). Empty
+  /// means every leaf talks to every source.
+  Network(const NetworkConfig& config, Rng* rng,
+          const std::vector<std::vector<int32_t>>& sources_by_cache = {});
 
   /// Advances all links (leaf, source, relay ingress/egress) into the tick
   /// [tick_start, tick_start+tick_len) and makes control messages deposited
@@ -113,8 +125,14 @@ class Network {
 
   // --- control mail, keyed by (edge, source) ---
 
+  /// Sources with a control-mail box at `node`, ascending.
+  const std::vector<int32_t>& mail_sources(int node) const;
+  /// Total number of control-mail boxes: the distinct (node, source) pairs.
+  size_t num_mail_boxes() const { return boxes_.size(); }
+
   /// Deposits a cache -> source control message from leaf `cache_id` onto
-  /// that leaf's edge; it starts traveling upstream at the next tick.
+  /// that leaf's edge; it starts traveling upstream at the next tick. The
+  /// leaf must cooperate with the source (checked).
   void SendToSource(int cache_id, int source_index, Message message);
   /// Single-cache convenience: sends from cache 0.
   void SendToSource(int source_index, Message message);
@@ -126,12 +144,12 @@ class Network {
   int64_t PumpControlUpstream();
 
   /// Drains the control messages deliverable on edge `node` for
-  /// `source_index` this tick. Call on tier-1 nodes after
-  /// PumpControlUpstream(); with a flat topology every leaf is tier-1 and
-  /// this is the historical (cache, source) drain.
-  std::vector<Message> TakeSourceMail(int node, int source_index);
-  /// Single-cache convenience: drains mail from cache 0.
-  std::vector<Message> TakeSourceMail(int source_index);
+  /// `source_index` this tick into `out`, replacing its contents (when
+  /// there is mail, the buffers swap, so both keep their capacity). Call
+  /// on tier-1 nodes after PumpControlUpstream(); with a flat topology
+  /// every leaf is tier-1 and this is the historical (cache, source)
+  /// drain. A pair without a box has no mail.
+  void TakeSourceMail(int node, int source_index, std::vector<Message>* out);
 
   // --- fault injection: relay failover ---
 
@@ -161,7 +179,13 @@ class Network {
   const NetworkConfig& config() const { return config_; }
 
  private:
-  size_t MailSlot(int node, int source_index) const;
+  /// Box of the (node, source) pair, or -1 when the pair has none.
+  int32_t FindBox(int node, int source_index) const;
+  /// FindBox for a pair that must exist (checked).
+  int32_t BoxOf(int node, int source_index) const;
+  /// Lays out the mail boxes from the leaves' source lists (see the class
+  /// comment); relay lists are closed over every possible child.
+  void BuildMailBoxes(const std::vector<std::vector<int32_t>>& sources_by_cache);
   Link& relay_ingress(int node);
   /// Recomputes effective_parent_ from the alive set: a node whose parent
   /// died re-attaches to the parent's backup (when declared and alive),
@@ -198,15 +222,22 @@ class Network {
   /// Children of each node in ascending order (empty for leaves).
   std::vector<std::vector<int32_t>> children_;
   std::vector<int32_t> tier1_nodes_;
-  // Control-channel double buffer keyed by (edge, source): deposited this
-  // tick, delivered next tick. Slot = node * num_sources + source.
-  std::vector<std::vector<Message>> mail_incoming_;
-  std::vector<std::vector<Message>> mail_deliverable_;
-  /// Slots with pending incoming mail, in deposit order (each slot listed
-  /// once). BeginTick promotes exactly these instead of scanning all
-  /// num_nodes x num_sources slots — per-slot promotions are independent,
-  /// so visiting only the dirty slots is behavior-identical to the scan.
-  std::vector<size_t> dirty_incoming_;
+  /// Control-channel double buffer of one (edge, source) pair: deposited
+  /// this tick, delivered next tick.
+  struct MailBox {
+    std::vector<Message> incoming;
+    std::vector<Message> deliverable;
+  };
+  /// Per node, the ascending sources it holds boxes for; node n's box for
+  /// mail_sources_[n][k] is boxes_[mail_base_[n] + k].
+  std::vector<std::vector<int32_t>> mail_sources_;
+  std::vector<int32_t> mail_base_;
+  std::vector<MailBox> boxes_;
+  /// Boxes with pending incoming mail, in deposit order (each listed
+  /// once). BeginTick promotes exactly these — per-box promotions are
+  /// independent, so visiting only the dirty boxes is behavior-identical
+  /// to a scan.
+  std::vector<int32_t> dirty_incoming_;
   /// Every link (cache, source, relay ingress, relay egress), flattened for
   /// the sharded BeginTick partition. Built once; link sets never change
   /// after construction.

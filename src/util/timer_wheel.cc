@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "util/logging.h"
 
@@ -41,17 +40,8 @@ int64_t TimerWheel::BucketOf(double time) const {
   return static_cast<int64_t>(bucket);
 }
 
-void TimerWheel::Push(double time, WheelCallback callback) {
-  uint32_t slot;
-  if (free_slots_.empty()) {
-    slot = static_cast<uint32_t>(callbacks_.size());
-    callbacks_.push_back(std::move(callback));
-  } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    callbacks_[slot] = std::move(callback);
-  }
-  const Item item{time, next_seq_++, slot};
+void TimerWheel::Push(double time, uint64_t payload) {
+  const Item item{time, next_seq_++, payload};
   ++size_;
   const int64_t bucket = BucketOf(time);
   if (bucket <= cur_bucket_) {
@@ -137,16 +127,14 @@ double TimerWheel::NextTime() {
   return near_.front().time;
 }
 
-void TimerWheel::PopInto(double* time, WheelCallback* callback) {
+void TimerWheel::PopInto(double* time, uint64_t* payload) {
   BESYNC_CHECK(size_ > 0) << "TimerWheel::PopInto on an empty wheel";
   Prepare();
   std::pop_heap(near_.begin(), near_.end(), LaterCmp{});
   const Item item = near_.back();
   near_.pop_back();
   *time = item.time;
-  *callback = std::move(callbacks_[item.slot]);
-  callbacks_[item.slot] = nullptr;
-  free_slots_.push_back(item.slot);
+  *payload = item.payload;
   --size_;
 }
 

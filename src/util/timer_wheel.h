@@ -3,13 +3,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 namespace besync {
-
-/// Callback fired when a timer is popped; receives the timer's timestamp.
-using WheelCallback = std::function<void(double)>;
 
 /// Hierarchical timer wheel with an *exact* global pop order: timers pop in
 /// strictly increasing (time, insertion-sequence) order — bit-for-bit the
@@ -39,10 +35,10 @@ using WheelCallback = std::function<void(double)>;
 /// (including past times) go straight to the near heap, preserving the
 /// invariant.
 ///
-/// The callbacks themselves live in a recycled slab; the items routed
-/// through the buckets and sifted through the near heap are 24-byte PODs
-/// carrying a slab slot. Heap maintenance therefore never touches
-/// std::function move machinery — the dominant cost of a heap of closures.
+/// A timer carries no code, only a 64-bit payload the caller decodes when
+/// the timer pops (sim/simulation.h packs a handler id and a key into it),
+/// so the items routed through the buckets and sifted through the near heap
+/// are self-contained 24-byte PODs and a timer allocates nothing.
 ///
 /// Not thread-safe; one wheel per simulation.
 class TimerWheel {
@@ -62,7 +58,7 @@ class TimerWheel {
   TimerWheel(const TimerWheel&) = delete;
   TimerWheel& operator=(const TimerWheel&) = delete;
 
-  void Push(double time, WheelCallback callback);
+  void Push(double time, uint64_t payload);
 
   bool empty() const { return size_ == 0; }
   size_t size() const { return size_; }
@@ -71,17 +67,17 @@ class TimerWheel {
   /// may advance buckets into the near heap.
   double NextTime();
 
-  /// Pops the earliest timer into (time, callback); wheel must be non-empty.
-  void PopInto(double* time, WheelCallback* callback);
+  /// Pops the earliest timer into (time, payload); wheel must be non-empty.
+  void PopInto(double* time, uint64_t* payload);
 
  private:
-  /// POD routed through buckets and the near heap; `slot` indexes the
-  /// callback slab.
+  /// POD routed through buckets and the near heap.
   struct Item {
     double time;
     uint64_t seq;
-    uint32_t slot;
+    uint64_t payload;
   };
+  static_assert(sizeof(Item) == 24, "wheel items are three words");
 
   // Near-heap ordering: earlier time first; FIFO for equal times. A struct
   // (not a free function) so std::push_heap/pop_heap inline the comparison.
@@ -110,9 +106,6 @@ class TimerWheel {
   std::vector<std::vector<Item>> level0_;   // bucket b at slot b % slots_
   std::vector<std::vector<Item>> level1_;
   std::vector<Item> far_;
-  /// Callback slab indexed by Item::slot, with a free list of popped slots.
-  std::vector<WheelCallback> callbacks_;
-  std::vector<uint32_t> free_slots_;
   double far_min_time_ = 0.0;
   int64_t cur_bucket_;                      // near/wheel boundary (absolute)
   size_t level0_count_ = 0;

@@ -126,6 +126,13 @@ TEST(InterestMapTest, InterestAssignmentDoesNotPerturbGenerator) {
 
 // ------------------------------------------------- (cache, source) mail
 
+/// Drains (node, source) control mail into a fresh vector.
+std::vector<Message> TakeMail(Network* network, int node, int source_index) {
+  std::vector<Message> mail;
+  network->TakeSourceMail(node, source_index, &mail);
+  return mail;
+}
+
 TEST(MulticacheNetworkTest, MailIsKeyedByCacheAndSource) {
   NetworkConfig config;
   config.num_sources = 2;
@@ -139,20 +146,20 @@ TEST(MulticacheNetworkTest, MailIsKeyedByCacheAndSource) {
   network.SendToSource(/*cache_id=*/1, /*source_index=*/0, from_cache1);
 
   // Deposited during tick 0: invisible to every slot this tick.
-  EXPECT_TRUE(network.TakeSourceMail(0, 0).empty());
-  EXPECT_TRUE(network.TakeSourceMail(1, 0).empty());
+  EXPECT_TRUE(TakeMail(&network, 0, 0).empty());
+  EXPECT_TRUE(TakeMail(&network, 1, 0).empty());
 
   network.BeginTick(1.0, 1.0);
   // Visible only under the (cache 1, source 0) key; stamped with the cache.
-  EXPECT_TRUE(network.TakeSourceMail(0, 0).empty());
-  EXPECT_TRUE(network.TakeSourceMail(1, 1).empty());
-  const auto mail = network.TakeSourceMail(1, 0);
+  EXPECT_TRUE(TakeMail(&network, 0, 0).empty());
+  EXPECT_TRUE(TakeMail(&network, 1, 1).empty());
+  const auto mail = TakeMail(&network, 1, 0);
   ASSERT_EQ(mail.size(), 1u);
   EXPECT_EQ(mail[0].cache_id, 1);
   // Drained exactly once.
-  EXPECT_TRUE(network.TakeSourceMail(1, 0).empty());
+  EXPECT_TRUE(TakeMail(&network, 1, 0).empty());
   network.BeginTick(2.0, 1.0);
-  EXPECT_TRUE(network.TakeSourceMail(1, 0).empty());
+  EXPECT_TRUE(TakeMail(&network, 1, 0).empty());
 }
 
 TEST(MulticacheNetworkTest, PerCacheBandwidthOverrides) {

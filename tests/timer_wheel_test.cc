@@ -26,22 +26,23 @@ std::vector<int> StableOrder(std::vector<Ref> refs) {
   return ids;
 }
 
-/// Pushes every (time, id) pair, then pops the whole wheel and returns the
-/// ids in pop order, checking popped timestamps are what was pushed.
+/// Pushes every (time, id) pair with the id as payload, then pops the whole
+/// wheel and returns the ids in pop order, checking popped timestamps are
+/// what was pushed.
 std::vector<int> DrainOrder(TimerWheel* wheel, const std::vector<Ref>& refs) {
   std::vector<double> times(refs.size());
   std::vector<int> order;
   for (const Ref& ref : refs) {
     times[static_cast<size_t>(ref.id)] = ref.time;
-    wheel->Push(ref.time, [&order, id = ref.id](double) { order.push_back(id); });
+    wheel->Push(ref.time, static_cast<uint64_t>(ref.id));
   }
   while (!wheel->empty()) {
     const double next = wheel->NextTime();
     double time = 0.0;
-    WheelCallback callback;
-    wheel->PopInto(&time, &callback);
+    uint64_t payload = 0;
+    wheel->PopInto(&time, &payload);
     EXPECT_EQ(time, next);
-    callback(time);
+    order.push_back(static_cast<int>(payload));
     EXPECT_EQ(time, times[static_cast<size_t>(order.back())]);
   }
   return order;
@@ -81,13 +82,13 @@ TEST(TimerWheelTest, InterleavedPushAndPopKeepsGlobalOrder) {
   auto push = [&](double t) {
     const int id = static_cast<int>(refs.size());
     refs.push_back({t, id});
-    wheel.Push(t, [&order, id](double) { order.push_back(id); });
+    wheel.Push(t, static_cast<uint64_t>(id));
   };
   auto pop = [&] {
     double time = 0.0;
-    WheelCallback callback;
-    wheel.PopInto(&time, &callback);
-    callback(time);
+    uint64_t payload = 0;
+    wheel.PopInto(&time, &payload);
+    order.push_back(static_cast<int>(payload));
   };
 
   push(10.0);
@@ -142,19 +143,35 @@ TEST(TimerWheelTest, SizeTracksAcrossRegions) {
   options.level_slots = 4;
   TimerWheel wheel(options);
   EXPECT_TRUE(wheel.empty());
-  wheel.Push(0.5, [](double) {});
-  wheel.Push(10.0, [](double) {});
-  wheel.Push(1.0e6, [](double) {});
+  wheel.Push(0.5, 1);
+  wheel.Push(10.0, 2);
+  wheel.Push(1.0e6, 3);
   EXPECT_EQ(wheel.size(), 3u);
   double time = 0.0;
-  WheelCallback callback;
-  wheel.PopInto(&time, &callback);
+  uint64_t payload = 0;
+  wheel.PopInto(&time, &payload);
   EXPECT_EQ(time, 0.5);
+  EXPECT_EQ(payload, 1u);
   EXPECT_EQ(wheel.size(), 2u);
-  wheel.PopInto(&time, &callback);
-  wheel.PopInto(&time, &callback);
+  wheel.PopInto(&time, &payload);
+  wheel.PopInto(&time, &payload);
   EXPECT_EQ(time, 1.0e6);
+  EXPECT_EQ(payload, 3u);
   EXPECT_TRUE(wheel.empty());
+}
+
+TEST(TimerWheelTest, PayloadsRoundTripAllSixtyFourBits) {
+  TimerWheel wheel;
+  const uint64_t payloads[] = {0, ~uint64_t{0}, uint64_t{1} << 63,
+                               0x0123456789abcdefULL};
+  for (uint64_t payload : payloads) wheel.Push(2.0, payload);
+  for (uint64_t expected : payloads) {
+    double time = 0.0;
+    uint64_t payload = 0;
+    wheel.PopInto(&time, &payload);
+    EXPECT_EQ(time, 2.0);
+    EXPECT_EQ(payload, expected);
+  }
 }
 
 }  // namespace

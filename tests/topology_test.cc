@@ -97,6 +97,13 @@ TEST(TopologySpecTest, ValidateRejectsMalformedTrees) {
 
 // ----------------------------------------------------------- Network routing
 
+/// Drains (node, source) control mail into a fresh vector.
+std::vector<Message> TakeMail(Network* network, int node, int source_index) {
+  std::vector<Message> mail;
+  network->TakeSourceMail(node, source_index, &mail);
+  return mail;
+}
+
 TEST(NetworkTopologyTest, RoutingTables) {
   NetworkConfig config;
   config.num_sources = 2;
@@ -136,11 +143,11 @@ TEST(NetworkTopologyTest, ControlMailPumpsToTierOne) {
   // Not deliverable until the next tick, exactly like the flat channel.
   network.BeginTick(0.0, 1.0);
   EXPECT_EQ(network.PumpControlUpstream(), 2);
-  EXPECT_TRUE(network.TakeSourceMail(/*node=*/0, 0).empty());
-  const std::vector<Message> at_four = network.TakeSourceMail(/*node=*/4, 0);
+  EXPECT_TRUE(TakeMail(&network, /*node=*/0, 0).empty());
+  const std::vector<Message> at_four = TakeMail(&network, /*node=*/4, 0);
   ASSERT_EQ(at_four.size(), 1u);
   EXPECT_EQ(at_four[0].cache_id, 0);  // originating leaf survives the hops
-  const std::vector<Message> at_five = network.TakeSourceMail(/*node=*/5, 0);
+  const std::vector<Message> at_five = TakeMail(&network, /*node=*/5, 0);
   ASSERT_EQ(at_five.size(), 1u);
   EXPECT_EQ(at_five[0].cache_id, 3);
 }
