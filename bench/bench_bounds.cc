@@ -25,8 +25,9 @@ Workload MakeDriftWorkload(const WorkloadConfig& base) {
   // every process with a deterministic drift of the same rate.
   Workload workload = std::move(MakeWorkload(base)).ValueOrDie();
   for (ObjectSpec& spec : workload.objects) {
-    spec.process = std::make_unique<DriftProcess>(spec.lambda, 1.0);
-    spec.max_divergence_rate = spec.lambda;  // exact bound rate
+    const double lambda = spec.lambda();
+    spec.update = UpdateModel::Drift(lambda, 1.0);
+    spec.max_divergence_rate = lambda;  // exact bound rate
   }
   return workload;
 }

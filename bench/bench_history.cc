@@ -26,10 +26,10 @@ Workload MakeSwitchingWorkload(const WorkloadConfig& base, double regime_length)
   Rng rng(base.seed ^ 0xabcdefULL);
   for (ObjectSpec& spec : workload.objects) {
     // Hot/cold rates straddle the original rate; desynchronized regimes.
-    const double hot = spec.lambda * 1.8;
-    const double cold = spec.lambda * 0.2;
-    spec.process = std::make_unique<RegimeSwitchingProcess>(
-        hot, cold, regime_length * rng.Uniform(0.7, 1.3));
+    const double hot = spec.lambda() * 1.8;
+    const double cold = spec.lambda() * 0.2;
+    spec.update = UpdateModel::RegimeSwitching(hot, cold,
+                                               regime_length * rng.Uniform(0.7, 1.3));
   }
   return workload;
 }

@@ -14,7 +14,6 @@
 
 #include "core/harness.h"
 #include "core/system.h"
-#include "data/weight.h"
 #include "data/workload.h"
 #include "divergence/metric.h"
 
@@ -41,17 +40,19 @@ int main() {
       {"vibration", 1.0, 5.0},  // safety-critical and jittery
   };
 
+  int32_t class_weight[kPerStation];
+  for (int c = 0; c < kPerStation; ++c) {
+    class_weight[c] = fleet.AddWeight(Signal::Constant(classes[c].importance));
+  }
   for (int station = 0; station < kStations; ++station) {
     for (int c = 0; c < kPerStation; ++c) {
       ObjectSpec spec;
-      spec.index = static_cast<ObjectIndex>(fleet.objects.size());
       spec.source_index = station;
-      spec.lambda = classes[c].rate;
-      spec.process = std::make_unique<PoissonRandomWalkProcess>(classes[c].rate);
-      spec.weight = MakeConstantWeight(classes[c].importance);
+      spec.update = UpdateModel::Poisson(classes[c].rate);
+      spec.weight_id = class_weight[c];
       spec.max_divergence_rate = classes[c].rate;
       spec.rng_seed = rng.NextUint64();
-      fleet.objects.push_back(std::move(spec));
+      fleet.AddObject(spec);
     }
   }
 

@@ -34,10 +34,6 @@ void IdealCooperativeScheduler::Initialize(Harness* harness) {
 
   epochs_.assign(workload.objects.size(), 0);
   history_.assign(workload.objects.size(), HistoryRateEstimator());
-  object_source_.resize(workload.objects.size());
-  for (size_t i = 0; i < workload.objects.size(); ++i) {
-    object_source_[i] = workload.objects[i].source_index;
-  }
   if (policy_->time_varying()) {
     // The bound policy's priority rises deterministically with time; seed
     // one wake-up per object. Crossing the "top" position is detected by
@@ -49,19 +45,19 @@ void IdealCooperativeScheduler::Initialize(Harness* harness) {
 }
 
 double IdealCooperativeScheduler::ComputePriority(ObjectIndex index, double now) const {
-  const ObjectRuntime& object = harness_->object(index);
+  const ObjectSpec& spec = harness_->spec(index);
+  const DivergenceTracker& tracker = harness_->tracker(index);
   PriorityContext context;
-  context.tracker = &object.tracker();
+  context.tracker = &tracker;
   context.weight = harness_->WeightAt(index, now);
-  if (config_.cost_aware_priority && object.spec->refresh_cost > 1) {
-    context.weight /= static_cast<double>(object.spec->refresh_cost);
+  if (config_.cost_aware_priority && spec.refresh_cost > 1) {
+    context.weight /= static_cast<double>(spec.refresh_cost);
   }
-  context.max_divergence_rate = object.spec->max_divergence_rate;
+  context.max_divergence_rate = spec.max_divergence_rate;
   context.history_rate = history_[index].rate();
   context.lambda_estimate = EstimateLambda(
-      config_.lambda_mode, object.spec->lambda, object.state.version, now,
-      object.tracker().updates_since_refresh(),
-      now - object.tracker().last_refresh_time());
+      config_.lambda_mode, spec.lambda(), harness_->object(index).state.version, now,
+      tracker.updates_since_refresh(), now - tracker.last_refresh_time());
   return policy_->Priority(context, now);
 }
 
@@ -113,18 +109,18 @@ void IdealCooperativeScheduler::Tick(double t) {
       queue_.Restore(top);
       break;
     }
-    const int32_t j = object_source_[top.index];
+    const int32_t j = harness_->spec(top.index).source_index;
     if (source_budget_[j] <= 0) {
       blocked.push_back(top);
       continue;
     }
     // Costs are charged in full; a large object may drive the budgets
     // negative (its transmission conceptually spans ticks).
-    const int64_t cost = harness_->object(top.index).spec->refresh_cost;
+    const int64_t cost = harness_->spec(top.index).refresh_cost;
     source_budget_[j] -= cost;
     budget -= cost;
     {
-      const DivergenceTracker& tracker = harness_->object(top.index).tracker();
+      const DivergenceTracker& tracker = harness_->tracker(top.index);
       history_[top.index].OnRefresh(t - tracker.last_refresh_time(),
                                     tracker.IntegralTo(t));
     }

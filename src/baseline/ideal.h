@@ -64,7 +64,6 @@ class IdealCooperativeScheduler : public Scheduler {
   TimeMinHeap wake_queue_;
   std::vector<uint64_t> epochs_;
   std::vector<HistoryRateEstimator> history_;
-  std::vector<int32_t> object_source_;
   std::vector<int64_t> source_budget_;  // scratch, per tick
   std::vector<int64_t> source_debt_;    // carryover from costly refreshes
   int64_t cache_debt_ = 0;

@@ -28,9 +28,9 @@ void IdealCacheBasedScheduler::Initialize(Harness* harness) {
   std::vector<double> weights;
   lambdas.reserve(workload.objects.size());
   weights.reserve(workload.objects.size());
-  for (const ObjectSpec& spec : workload.objects) {
-    lambdas.push_back(spec.lambda);
-    weights.push_back(spec.weight->average());
+  for (ObjectIndex i = 0; i < workload.total_objects(); ++i) {
+    lambdas.push_back(workload.objects[i].lambda());
+    weights.push_back(workload.weight(i).average());
   }
   auto allocation =
       SolveFreshnessAllocation(lambdas, weights, config_.cache_bandwidth_avg);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "data/weight.h"
 #include "util/logging.h"
 
 namespace besync {
@@ -121,6 +120,7 @@ void AssignConflictingSourceWeights(Workload* workload, double heavy, uint64_t s
   BESYNC_CHECK(workload != nullptr);
   BESYNC_CHECK_GE(heavy, 1.0);
   Rng rng(seed);
+  const int32_t heavy_id = workload->AddWeight(Signal::Constant(heavy));
   // Per source: a random half of its objects are source-heavy.
   for (int j = 0; j < workload->num_sources; ++j) {
     std::vector<size_t> member_indices;
@@ -129,8 +129,8 @@ void AssignConflictingSourceWeights(Workload* workload, double heavy, uint64_t s
     }
     rng.Shuffle(&member_indices);
     for (size_t k = 0; k < member_indices.size(); ++k) {
-      const double weight = k < member_indices.size() / 2 ? heavy : 1.0;
-      workload->objects[member_indices[k]].source_weight = MakeConstantWeight(weight);
+      workload->objects[member_indices[k]].source_weight_id =
+          k < member_indices.size() / 2 ? heavy_id : Workload::kUnitWeight;
     }
   }
 }

@@ -29,18 +29,9 @@ Harness::Harness(const Workload* workload, const DivergenceMetric* metric,
   primary_ground_truth_ = owned_ground_truth_.get();
   ground_truths_.push_back(primary_ground_truth_);
   objects_.reserve(workload->objects.size());
-  size_t total_replicas = 0;
-  for (const ObjectSpec& spec : workload->objects) {
-    objects_.emplace_back(&spec);
-    total_replicas += static_cast<size_t>(spec.num_replicas());
-  }
-  DivergenceTracker* trackers =
-      arena_.AllocateArray<DivergenceTracker>(total_replicas, metric);
-  for (ObjectRuntime& object : objects_) {
-    object.trackers = trackers;
-    object.num_replicas = object.spec->num_replicas();
-    trackers += object.num_replicas;
-  }
+  for (const ObjectSpec& spec : workload->objects) objects_.emplace_back(spec.rng_seed);
+  trackers_ = arena_.AllocateArray<DivergenceTracker>(
+      static_cast<size_t>(workload->total_replicas()), metric);
 }
 
 void Harness::AddGroundTruth(GroundTruth* ground_truth) {
@@ -50,35 +41,35 @@ void Harness::AddGroundTruth(GroundTruth* ground_truth) {
 }
 
 double Harness::WeightAt(ObjectIndex index, double t) const {
-  return objects_[index].spec->weight->ValueAt(t);
+  return workload_->weight(index).ValueAt(t);
 }
 
 double Harness::SourceWeightAt(ObjectIndex index, double t) const {
-  const ObjectSpec& spec = *objects_[index].spec;
-  return spec.source_weight ? spec.source_weight->ValueAt(t) : spec.weight->ValueAt(t);
+  return workload_->source_weight(index).ValueAt(t);
 }
 
 Message Harness::MakeRefreshMessage(ObjectIndex index, int32_t cache_id, double t) {
-  ObjectRuntime& object = objects_[index];
-  const int slot = object.spec->replica_slot(cache_id);
+  const ObjectRuntime& object = objects_[index];
+  const ObjectSpec& object_spec = spec(index);
+  const int slot = workload_->replica_slot(index, cache_id);
   BESYNC_CHECK_GE(slot, 0) << "object " << index << " has no replica at cache "
                            << cache_id;
   Message message;
   message.kind = MessageKind::kRefresh;
-  message.source_index = object.spec->source_index;
+  message.source_index = object_spec.source_index;
   message.cache_id = cache_id;
   message.object_index = index;
   message.value = object.state.value;
   message.version = object.state.version;
   message.send_time = t;
   message.last_update_time = object.state.last_update_time;
-  message.cost = object.spec->refresh_cost;
-  object.tracker(slot).OnRefresh(t, object.state.value, object.state.version);
+  message.cost = object_spec.refresh_cost;
+  tracker(index, slot).OnRefresh(t, object.state.value, object.state.version);
   return message;
 }
 
 Message Harness::MakeRefreshMessage(ObjectIndex index, double t) {
-  return MakeRefreshMessage(index, objects_[index].spec->caches.front(), t);
+  return MakeRefreshMessage(index, workload_->caches(index).front(), t);
 }
 
 void Harness::DeliverRefresh(const Message& message, double t) {
@@ -98,7 +89,7 @@ void Harness::AdvanceGroundTruths(double t) {
 }
 
 void Harness::RefreshInstant(ObjectIndex index, double t) {
-  for (int32_t cache_id : objects_[index].spec->caches) {
+  for (int32_t cache_id : workload_->caches(index)) {
     const Message message = MakeRefreshMessage(index, cache_id, t);
     DeliverRefresh(message, t);
   }
@@ -107,11 +98,14 @@ void Harness::RefreshInstant(ObjectIndex index, double t) {
 void Harness::OnEvent(uint64_t key, double t) {
   const ObjectIndex index = static_cast<ObjectIndex>(key);
   ObjectRuntime& object = objects_[index];
-  object.state.value = object.spec->process->ApplyUpdate(object.state.value, &object.rng);
+  object.state.value = spec(index).update.ApplyUpdate(object.state.value, &object.rng,
+                                                      &object.trace_cursor);
   ++object.state.version;
   object.state.last_update_time = t;
-  for (int r = 0; r < object.num_replicas; ++r) {
-    object.trackers[r].OnUpdate(t, object.state.value, object.state.version);
+  DivergenceTracker* trackers = &tracker(index);
+  const int replicas = workload_->num_replicas(index);
+  for (int r = 0; r < replicas; ++r) {
+    trackers[r].OnUpdate(t, object.state.value, object.state.version);
   }
   for (GroundTruth* ground_truth : ground_truths_) {
     ground_truth->OnSourceUpdate(index, t, object.state.value, object.state.version);
@@ -122,7 +116,8 @@ void Harness::OnEvent(uint64_t key, double t) {
 
 void Harness::ScheduleNextUpdate(ObjectIndex index, double now) {
   ObjectRuntime& object = objects_[index];
-  const double next = object.spec->process->NextUpdateTime(now, &object.rng);
+  const double next =
+      spec(index).update.NextUpdateTime(now, &object.rng, &object.trace_cursor);
   if (!std::isfinite(next)) return;
   sim_.ScheduleAt(next, update_handler_, static_cast<uint64_t>(index));
 }
@@ -134,13 +129,17 @@ Status Harness::Run(Scheduler* scheduler) {
   scheduler_ = scheduler;
 
   // Initialize object state and synchronized cache contents at t = 0.
-  for (ObjectRuntime& object : objects_) {
-    object.spec->process->Reset();
-    object.state.value = object.spec->initial_value;
+  for (size_t i = 0; i < objects_.size(); ++i) {
+    const ObjectIndex index = static_cast<ObjectIndex>(i);
+    ObjectRuntime& object = objects_[i];
+    const ObjectSpec& object_spec = spec(index);
+    object.trace_cursor = workload_->TraceStart(object_spec.update);
+    object.state.value = object_spec.initial_value;
     object.state.version = 0;
     object.state.last_update_time = -1.0;
-    for (int r = 0; r < object.num_replicas; ++r) {
-      object.trackers[r].OnRefresh(0.0, object.state.value, 0);
+    DivergenceTracker* trackers = &tracker(index);
+    for (int r = 0; r < workload_->num_replicas(index); ++r) {
+      trackers[r].OnRefresh(0.0, object.state.value, 0);
     }
   }
   for (GroundTruth* ground_truth : ground_truths_) ground_truth->Initialize(0.0);

@@ -48,26 +48,20 @@ struct HarnessConfig {
   uint64_t seed = 7;
 };
 
-/// Per-object mutable state during a simulation run.
+/// Per-object mutable state during a simulation run (80 bytes). The
+/// object's static description is Harness::spec(index) and its
+/// source-side trackers are Harness::tracker(index, slot).
 struct ObjectRuntime {
-  const ObjectSpec* spec = nullptr;
   ObjectState state;
-  /// Source-side divergence bookkeeping, one tracker per replica (vs. the
-  /// value last shipped to that cache), aligned with spec->caches. Points
-  /// into the harness arena's flat tracker array — every object's trackers
-  /// are consecutive slices of one allocation, not a million tiny vectors.
-  DivergenceTracker* trackers = nullptr;
-  int num_replicas = 0;
   /// Private RNG stream driving this object's updates.
   Rng rng;
+  /// Trace replay position (kTrace objects; null otherwise). Per-run state:
+  /// it points into the workload's trace store, which the run only reads.
+  const TracePoint* trace_cursor = nullptr;
 
-  explicit ObjectRuntime(const ObjectSpec* s) : spec(s), rng(s->rng_seed) {}
-
-  /// Tracker of replica slot `r` (slot 0 is the only replica in the paper's
-  /// single-cache topology).
-  DivergenceTracker& tracker(int r = 0) { return trackers[r]; }
-  const DivergenceTracker& tracker(int r = 0) const { return trackers[r]; }
+  explicit ObjectRuntime(uint64_t rng_seed) : rng(rng_seed) {}
 };
+static_assert(sizeof(ObjectRuntime) == 80, "the per-object run setup cost is bytes per runtime");
 
 /// Statistics a scheduler reports after a run (fields irrelevant to a given
 /// scheduler stay zero).
@@ -195,6 +189,17 @@ class Harness : private EventHandler {
   Simulation& simulation() { return sim_; }
   std::vector<ObjectRuntime>& objects() { return objects_; }
   const ObjectRuntime& object(ObjectIndex index) const { return objects_[index]; }
+  const ObjectSpec& spec(ObjectIndex index) const { return workload_->objects[index]; }
+  /// Source-side divergence tracker of object `index`'s replica slot `slot`
+  /// (vs. the value last shipped to that cache; slot 0 is the only replica
+  /// in the paper's single-cache topology). The trackers form one flat
+  /// array laid out by the workload's interest map.
+  DivergenceTracker& tracker(ObjectIndex index, int slot = 0) {
+    return trackers_[workload_->replica_begin(index) + slot];
+  }
+  const DivergenceTracker& tracker(ObjectIndex index, int slot = 0) const {
+    return trackers_[workload_->replica_begin(index) + slot];
+  }
   GroundTruth& ground_truth() { return *primary_ground_truth_; }
   Rng* scheduler_rng() { return &scheduler_rng_; }
   /// Run-lifetime bump allocator for hot-path per-replica state (trackers,
@@ -250,6 +255,8 @@ class Harness : private EventHandler {
   /// entries; declared before the structures pointing into it.
   Arena arena_;
   std::vector<ObjectRuntime> objects_;
+  /// One tracker per replica, indexed by global replica id.
+  DivergenceTracker* trackers_ = nullptr;
   std::unique_ptr<GroundTruth> owned_ground_truth_;
   GroundTruth* primary_ground_truth_;
   std::vector<GroundTruth*> ground_truths_;

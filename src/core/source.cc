@@ -22,18 +22,13 @@ SourceAgent::SourceAgent(int index, const SourceAgentConfig& config,
 }
 
 void SourceAgent::AddObject(ObjectIndex index) {
-  if (members_.empty()) {
+  if (num_objects_ == 0) {
     first_member_ = index;
   } else {
-    BESYNC_CHECK_EQ(index, first_member_ + static_cast<ObjectIndex>(members_.size()))
+    BESYNC_CHECK_EQ(index, first_member_ + num_objects_)
         << "source objects must be contiguous";
   }
-  members_.push_back(index);
-}
-
-void SourceAgent::SetFeedbackPeriods(std::vector<double> periods_by_cache) {
-  BESYNC_CHECK(channels_.empty()) << "SetFeedbackPeriods must precede Start";
-  feedback_periods_by_cache_ = std::move(periods_by_cache);
+  ++num_objects_;
 }
 
 void SourceAgent::SetSyncProtocol(const SyncProtocol* protocol) {
@@ -41,63 +36,75 @@ void SourceAgent::SetSyncProtocol(const SyncProtocol* protocol) {
   protocol_ = protocol;
 }
 
-void SourceAgent::BuildChannels() {
+void SourceAgent::BuildChannels(const std::vector<double>& feedback_periods_by_cache) {
+  BESYNC_CHECK_GT(num_objects_, 0) << "source " << index_ << " has no objects";
   channels_.clear();
-  // Distinct cache ids across this source's objects, ascending. Per-object
-  // cache lists are sorted, so a flat collect + sort + unique suffices.
-  std::vector<int32_t> cache_ids;
-  for (ObjectIndex index : members_) {
-    const ObjectSpec& spec = *harness_->object(index).spec;
-    cache_ids.insert(cache_ids.end(), spec.caches.begin(), spec.caches.end());
+  const Workload& workload = harness_->workload();
+  // This source's rows of the interest map: one contiguous replica range.
+  const ObjectIndex last = first_member_ + num_objects_ - 1;
+  const int64_t begin = workload.replica_begin(first_member_);
+  const int64_t end = workload.replica_begin(last) + workload.num_replicas(last);
+  // One channel per distinct cache id, ascending.
+  channel_cache_ids_.clear();
+  for (int64_t r = begin; r < end; ++r) {
+    channel_cache_ids_.push_back(workload.replica_cache(r));
   }
-  std::sort(cache_ids.begin(), cache_ids.end());
-  cache_ids.erase(std::unique(cache_ids.begin(), cache_ids.end()), cache_ids.end());
-  BESYNC_CHECK(!cache_ids.empty()) << "source " << index_ << " has no objects";
+  std::sort(channel_cache_ids_.begin(), channel_cache_ids_.end());
+  channel_cache_ids_.erase(
+      std::unique(channel_cache_ids_.begin(), channel_cache_ids_.end()),
+      channel_cache_ids_.end());
 
-  channels_.reserve(cache_ids.size());
+  // Count each channel's members, then fill the exact-sized arena tables in
+  // one pass over the objects (ascending, so every member list is sorted).
+  const size_t num_channels = channel_cache_ids_.size();
+  std::vector<int32_t> channel_sizes(num_channels, 0);
+  for (int64_t r = begin; r < end; ++r) ++channel_sizes[ChannelOf(workload.replica_cache(r))];
+  channels_.reserve(num_channels);
   Arena* arena = harness_->arena();
-  // Scratch reused across channels; the arena copies are exact-sized.
-  std::vector<ObjectIndex> channel_members;
-  std::vector<int32_t> channel_replicas;
-  for (int32_t cache_id : cache_ids) {
+  for (size_t k = 0; k < num_channels; ++k) {
+    const int32_t cache_id = channel_cache_ids_[k];
     double period = expected_feedback_period_;
-    if (cache_id < static_cast<int32_t>(feedback_periods_by_cache_.size()) &&
-        feedback_periods_by_cache_[cache_id] > 0.0) {
-      period = feedback_periods_by_cache_[cache_id];
+    if (cache_id < static_cast<int32_t>(feedback_periods_by_cache.size()) &&
+        feedback_periods_by_cache[cache_id] > 0.0) {
+      period = feedback_periods_by_cache[cache_id];
     }
     Channel channel(cache_id, config_.threshold, period);
-    channel.slot_of = arena->AllocateArray<int32_t>(members_.size(), -1);
-    channel_members.clear();
-    channel_replicas.clear();
-    for (size_t k = 0; k < members_.size(); ++k) {
-      const ObjectIndex index = members_[k];
-      const int replica = harness_->object(index).spec->replica_slot(cache_id);
-      if (replica < 0) continue;
-      channel.slot_of[k] = static_cast<int32_t>(channel_members.size());
-      channel_members.push_back(index);
-      channel_replicas.push_back(static_cast<int32_t>(replica));
-    }
-    channel.num_members = static_cast<int32_t>(channel_members.size());
-    channel.members = arena->AllocateArray<ObjectIndex>(channel_members.size());
-    channel.replica_slots = arena->AllocateArray<int32_t>(channel_replicas.size());
-    std::copy(channel_members.begin(), channel_members.end(), channel.members);
-    std::copy(channel_replicas.begin(), channel_replicas.end(),
-              channel.replica_slots);
-    channel.locals = arena->AllocateArray<LocalState>(channel_members.size());
+    const size_t size = static_cast<size_t>(channel_sizes[k]);
+    channel.slot_of = arena->AllocateArray<int32_t>(static_cast<size_t>(num_objects_), -1);
+    channel.members = arena->AllocateArray<ObjectIndex>(size);
+    channel.replica_slots = arena->AllocateArray<int32_t>(size);
+    channel.locals = arena->AllocateArray<LocalState>(size);
     if (config_.monitor == MonitorMode::kSampling) {
-      channel.sampled = arena->AllocateArray<SampledTracker>(channel_members.size());
+      channel.sampled = arena->AllocateArray<SampledTracker>(size);
     }
     if (protocol_ != nullptr && protocol_->emits_invalidations()) {
-      channel.invalid_state =
-          arena->AllocateArray<uint8_t>(channel_members.size(), uint8_t{kReplicaFresh});
+      channel.invalid_state = arena->AllocateArray<uint8_t>(size, uint8_t{kReplicaFresh});
     }
     channels_.push_back(std::move(channel));
   }
+  for (ObjectIndex k = 0; k < num_objects_; ++k) {
+    const ObjectIndex index = first_member_ + k;
+    const Span<const int32_t> caches = workload.caches(index);
+    for (size_t r = 0; r < caches.size(); ++r) {
+      Channel& channel = channels_[ChannelOf(caches[r])];
+      const int32_t slot = channel.num_members++;
+      channel.slot_of[k] = slot;
+      channel.members[slot] = index;
+      channel.replica_slots[slot] = static_cast<int32_t>(r);
+    }
+  }
+}
+
+int SourceAgent::ChannelOf(int32_t cache_id) const {
+  const auto it =
+      std::lower_bound(channel_cache_ids_.begin(), channel_cache_ids_.end(), cache_id);
+  if (it == channel_cache_ids_.end() || *it != cache_id) return -1;
+  return static_cast<int>(it - channel_cache_ids_.begin());
 }
 
 int SourceAgent::ChannelSlot(const Channel& channel, ObjectIndex index) const {
   BESYNC_DCHECK(index >= first_member_);
-  BESYNC_DCHECK(index < first_member_ + static_cast<ObjectIndex>(members_.size()));
+  BESYNC_DCHECK(index < first_member_ + num_objects_);
   const int32_t slot = channel.slot_of[index - first_member_];
   BESYNC_DCHECK(slot >= 0) << "object " << index << " not replicated at cache "
                            << channel.cache_id;
@@ -115,20 +122,20 @@ SourceAgent::ChannelEpoch SourceAgent::MakeEpochFn(const Channel* channel) const
 PriorityContext SourceAgent::MakeContext(const Channel& channel, ObjectIndex index,
                                          double now, bool use_source_weight) const {
   const int slot = ChannelSlot(channel, index);
-  const ObjectRuntime& object = harness_->object(index);
-  const DivergenceTracker& tracker = object.tracker(channel.replica_slots[slot]);
+  const ObjectSpec& spec = harness_->spec(index);
+  const DivergenceTracker& tracker = harness_->tracker(index, channel.replica_slots[slot]);
   PriorityContext context;
   context.tracker = &tracker;
   context.weight = use_source_weight ? harness_->SourceWeightAt(index, now)
                                      : harness_->WeightAt(index, now);
-  if (config_.cost_aware_priority && object.spec->refresh_cost > 1) {
+  if (config_.cost_aware_priority && spec.refresh_cost > 1) {
     // Section 10.1: non-uniform costs enter the weight inversely.
-    context.weight /= static_cast<double>(object.spec->refresh_cost);
+    context.weight /= static_cast<double>(spec.refresh_cost);
   }
-  context.max_divergence_rate = object.spec->max_divergence_rate;
+  context.max_divergence_rate = spec.max_divergence_rate;
   context.history_rate = channel.locals[slot].history.rate();
   context.lambda_estimate = EstimateLambda(
-      config_.lambda_mode, object.spec->lambda, object.state.version, now,
+      config_.lambda_mode, spec.lambda(), harness_->object(index).state.version, now,
       tracker.updates_since_refresh(), now - tracker.last_refresh_time());
   return context;
 }
@@ -177,10 +184,11 @@ double SourceAgent::ComputeSourcePriority(ObjectIndex index, double now,
   return ChannelSourcePriority(channels_[channel], index, now);
 }
 
-void SourceAgent::Start(Simulation* sim, double tick_length) {
+void SourceAgent::Start(Simulation* sim, double tick_length,
+                        const std::vector<double>& feedback_periods_by_cache) {
   sim_ = sim;
   tick_length_ = tick_length;
-  BuildChannels();
+  BuildChannels(feedback_periods_by_cache);
   // Invalidation / TTL sources never consult the push priority machinery:
   // skipping the wake-up seeding and sampling schedules keeps those runs
   // free of the events (and RNG draws) that only feed threshold pushes.
@@ -193,14 +201,14 @@ void SourceAgent::Start(Simulation* sim, double tick_length) {
     }
   }
   if (config_.monitor == MonitorMode::kSampling) {
-    BESYNC_CHECK_LE(members_.size(), size_t{1} << 32)
+    BESYNC_CHECK_LE(num_objects_, int64_t{1} << 32)
         << "sample keys hold a 32-bit object offset";
     sample_handler_ = sim->AddHandler(this);
     Rng* rng = harness_->scheduler_rng();
     // Object-major so the single-cache draw sequence (one offset per object)
     // is preserved; each replica gets its own staggered schedule.
-    for (size_t k = 0; k < members_.size(); ++k) {
-      const ObjectIndex index = members_[k];
+    for (ObjectIndex k = 0; k < num_objects_; ++k) {
+      const ObjectIndex index = first_member_ + k;
       for (int c = 0; c < num_channels(); ++c) {
         if (channels_[c].slot_of[k] < 0) continue;
         // Stagger initial samples so sampling load is spread over time.
@@ -294,7 +302,7 @@ void SourceAgent::OnEvent(uint64_t key, double t) {
   // it last shipped to this cache — exactly what the exact tracker's current
   // divergence is.
   const double divergence =
-      harness_->object(index).tracker(channel.replica_slots[slot]).current_divergence();
+      harness_->tracker(index, channel.replica_slots[slot]).current_divergence();
   sampled.AddSample(t, divergence);
   ++state.epoch;
   const double weight = harness_->WeightAt(index, t);
@@ -320,16 +328,10 @@ void SourceAgent::ScheduleNextSample(int channel_index, ObjectIndex index, doubl
 }
 
 void SourceAgent::OnFeedback(const Message& message, double t) {
-  Channel* channel = nullptr;
-  for (Channel& candidate : channels_) {
-    if (candidate.cache_id == message.cache_id) {
-      channel = &candidate;
-      break;
-    }
-  }
-  BESYNC_CHECK(channel != nullptr)
-      << "feedback from cache " << message.cache_id << " reached source " << index_
-      << " which has no objects there";
+  const int k = ChannelOf(message.cache_id);
+  BESYNC_CHECK_GE(k, 0) << "feedback from cache " << message.cache_id
+                        << " reached source " << index_ << " which has no objects there";
+  Channel* channel = &channels_[k];
   channel->controller.OnFeedback(t, at_full_capacity_);
   if (message.granted_rate > 0.0) granted_rate_ = message.granted_rate;
   if (policy_->time_varying()) {
@@ -361,7 +363,7 @@ void SourceAgent::EmitRefresh(Channel* channel, ObjectIndex index, double now,
   // tracker resets (feeds the history-extended policy).
   {
     const DivergenceTracker& tracker =
-        harness_->object(index).tracker(channel->replica_slots[slot]);
+        harness_->tracker(index, channel->replica_slots[slot]);
     state.history.OnRefresh(now - tracker.last_refresh_time(), tracker.IntegralTo(now));
   }
   Message message = harness_->MakeRefreshMessage(index, channel->cache_id, now);
@@ -382,22 +384,16 @@ void SourceAgent::EmitRefresh(Channel* channel, ObjectIndex index, double now,
 }
 
 Message SourceAgent::ServePull(ObjectIndex index, int32_t cache_id, double now) {
-  Channel* channel = nullptr;
-  for (Channel& candidate : channels_) {
-    if (candidate.cache_id == cache_id) {
-      channel = &candidate;
-      break;
-    }
-  }
-  BESYNC_CHECK(channel != nullptr)
-      << "source " << index_ << " has no channel for cache " << cache_id;
+  const int k = ChannelOf(cache_id);
+  BESYNC_CHECK_GE(k, 0) << "source " << index_ << " has no channel for cache " << cache_id;
+  Channel* channel = &channels_[k];
   const int slot = ChannelSlot(*channel, index);
   LocalState& state = channel->locals[slot];
   // Same interval bookkeeping as EmitRefresh: the pull closes a refresh
   // interval for the replica, feeding the history-extended policy.
   {
     const DivergenceTracker& tracker =
-        harness_->object(index).tracker(channel->replica_slots[slot]);
+        harness_->tracker(index, channel->replica_slots[slot]);
     state.history.OnRefresh(now - tracker.last_refresh_time(), tracker.IntegralTo(now));
   }
   Message message = harness_->MakeRefreshMessage(index, cache_id, now);
@@ -434,14 +430,9 @@ Message SourceAgent::ServePull(ObjectIndex index, int32_t cache_id, double now) 
 void SourceAgent::OnCacheRestart(int32_t cache_id, double now,
                                  RecoveryPolicy policy,
                                  std::vector<ObjectIndex>* resynced) {
-  Channel* channel = nullptr;
-  for (Channel& candidate : channels_) {
-    if (candidate.cache_id == cache_id) {
-      channel = &candidate;
-      break;
-    }
-  }
-  if (channel == nullptr) return;  // no objects at that cache
+  const int k = ChannelOf(cache_id);
+  if (k < 0) return;  // no objects at that cache
+  Channel* channel = &channels_[k];
   const bool priority_recovery = policy == RecoveryPolicy::kRecoveryPriority;
   // A re-crash during an unfinished recovery supersedes it: the FIFO is
   // rebuilt from scratch (each replica appears once).
@@ -495,7 +486,7 @@ int64_t SourceAgent::SendRecovery(double now, Link* source_link, Link* cache_lin
   while (!channel->recovery_queue.empty()) {
     const int32_t slot = channel->recovery_queue.front();
     const ObjectIndex index = channel->members[slot];
-    const int64_t cost = harness_->object(index).spec->refresh_cost;
+    const int64_t cost = harness_->spec(index).refresh_cost;
     if (!source_link->TryConsumeAllowingDeficit(cost)) break;
     channel->recovery_queue.pop_front();
     EmitRefresh(channel, index, now, sink, /*bump_threshold=*/false,
@@ -522,7 +513,7 @@ void SourceAgent::EmitBatch(Channel* channel, const std::vector<QueueEntry>& bat
     LocalState& state = channel->locals[slot];
     {
       const DivergenceTracker& tracker =
-          harness_->object(index).tracker(channel->replica_slots[slot]);
+          harness_->tracker(index, channel->replica_slots[slot]);
       state.history.OnRefresh(now - tracker.last_refresh_time(),
                               tracker.IntegralTo(now));
     }
@@ -668,7 +659,7 @@ int64_t SourceAgent::SendRefreshesEventKeyed(Channel* channel, double now,
     }
     // Large objects may start transmitting on the last sliver of budget and
     // spill into the next tick (deficit carryover at the link).
-    const int64_t cost = harness_->object(top.index).spec->refresh_cost;
+    const int64_t cost = harness_->spec(top.index).refresh_cost;
     if (!source_link->TryConsumeAllowingDeficit(cost)) {
       channel->queue.Restore(top);
       at_full_capacity_ = true;
@@ -732,7 +723,7 @@ int64_t SourceAgent::SendSecondary(double now, int64_t max_count, Link* source_l
       channel->secondary_queue.Restore(top);
       break;
     }
-    const int64_t cost = harness_->object(top.index).spec->refresh_cost;
+    const int64_t cost = harness_->spec(top.index).refresh_cost;
     if (!source_link->TryConsumeAllowingDeficit(cost)) {
       channel->secondary_queue.Restore(top);
       at_full_capacity_ = true;
@@ -766,7 +757,7 @@ int64_t SourceAgent::SendRefreshesTimeVarying(Channel* channel, double now,
     const QueueEntry& candidate = due[k];
     const bool over_threshold =
         candidate.key >= channel->controller.threshold() && candidate.key > 0.0;
-    const int64_t cost = harness_->object(candidate.index).spec->refresh_cost;
+    const int64_t cost = harness_->spec(candidate.index).refresh_cost;
     if (over_threshold && !at_full_capacity_ &&
         source_link->TryConsumeAllowingDeficit(cost)) {
       EmitRefresh(channel, candidate.index, now, sink, /*bump_threshold=*/true,

@@ -69,7 +69,7 @@ class SourceAgent : private EventHandler {
  public:
   /// `policy` and `harness` must outlive the agent.
   /// `expected_feedback_period` is the fallback P_feedback used for every
-  /// cache channel not covered by SetFeedbackPeriods().
+  /// cache channel Start() is given no period for.
   SourceAgent(int index, const SourceAgentConfig& config,
               double expected_feedback_period, const PriorityPolicy* policy,
               Harness* harness);
@@ -88,7 +88,7 @@ class SourceAgent : private EventHandler {
   int64_t refreshes_sent() const { return refreshes_sent_; }
   int64_t invalidations_sent() const { return invalidations_sent_; }
   double granted_rate() const { return granted_rate_; }
-  size_t num_objects() const { return members_.size(); }
+  size_t num_objects() const { return static_cast<size_t>(num_objects_); }
   /// Entries (live + lazily-invalidated stale) in channel `k`'s priority
   /// queue. MaybeCompact() keeps this bounded by 4x the channel's live
   /// object count (+ a small constant), independent of how many updates the
@@ -103,11 +103,6 @@ class SourceAgent : private EventHandler {
   /// form a contiguous index range (as produced by the workload generators).
   void AddObject(ObjectIndex index);
 
-  /// Per-cache expected feedback periods, indexed by cache id (e.g. number
-  /// of sources interested in cache c divided by B_c). Call before Start();
-  /// caches beyond the vector fall back to the constructor scalar.
-  void SetFeedbackPeriods(std::vector<double> periods_by_cache);
-
   /// Selects the consistency protocol driving this source's emissions. Must
   /// be called before Start() (channel state depends on it); null (the
   /// default) behaves as push refresh. The protocol must outlive the agent.
@@ -115,8 +110,14 @@ class SourceAgent : private EventHandler {
 
   /// Run-start hook: builds the per-cache channels from the workload's
   /// interest map and seeds the monitoring machinery (initial wake-ups for
-  /// time-varying policies, sampling schedules).
-  void Start(Simulation* sim, double tick_length);
+  /// time-varying policies, sampling schedules). Channel c's threshold
+  /// controller takes its expected feedback period from
+  /// `feedback_periods_by_cache[c]` (e.g. number of sources interested in
+  /// cache c divided by B_c); caches beyond the vector, or with a period
+  /// <= 0, fall back to the constructor scalar. The vector is read only
+  /// during the call.
+  void Start(Simulation* sim, double tick_length,
+             const std::vector<double>& feedback_periods_by_cache = {});
 
   /// Trigger-mode notification that object `index` was updated at time `t`.
   void OnObjectUpdate(ObjectIndex index, double t);
@@ -305,7 +306,10 @@ class SourceAgent : private EventHandler {
     }
   };
 
-  void BuildChannels();
+  void BuildChannels(const std::vector<double>& feedback_periods_by_cache);
+  /// Channel index of cache `cache_id` (binary search over the ascending
+  /// channel cache ids), or -1 when this source has no objects there.
+  int ChannelOf(int32_t cache_id) const;
   int ChannelSlot(const Channel& channel, ObjectIndex index) const;
   LocalState& local(Channel* channel, ObjectIndex index);
   ChannelEpoch MakeEpochFn(const Channel* channel) const;
@@ -376,10 +380,13 @@ class SourceAgent : private EventHandler {
   const SyncProtocol* protocol_ = nullptr;
   Harness* harness_;
   double expected_feedback_period_;
-  std::vector<double> feedback_periods_by_cache_;
-  std::vector<ObjectIndex> members_;
+  /// This source's objects: the contiguous index range
+  /// [first_member_, first_member_ + num_objects_).
   ObjectIndex first_member_ = -1;
+  int64_t num_objects_ = 0;
   std::vector<Channel> channels_;
+  /// channels_[k].cache_id, ascending: the ChannelOf search keys.
+  std::vector<int32_t> channel_cache_ids_;
   bool secondary_enabled_ = false;
   double tick_length_ = 1.0;
   bool at_full_capacity_ = false;

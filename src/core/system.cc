@@ -160,18 +160,14 @@ void CooperativeScheduler::Initialize(Harness* harness) {
   for (int j = 0; j < m; ++j) {
     sources_.push_back(std::make_unique<SourceAgent>(
         j, config_.source, feedback_periods[0], policy_.get(), harness));
-    sources_[j]->SetFeedbackPeriods(feedback_periods);
   }
 
-  object_source_.resize(workload.objects.size());
-  for (size_t i = 0; i < workload.objects.size(); ++i) {
-    const int32_t j = workload.objects[i].source_index;
-    object_source_[i] = j;
-    sources_[j]->AddObject(static_cast<ObjectIndex>(i));
+  for (ObjectIndex i = 0; i < workload.total_objects(); ++i) {
+    sources_[workload.objects[i].source_index]->AddObject(i);
   }
   for (auto& source : sources_) {
     source->SetSyncProtocol(protocol_.get());
-    source->Start(&harness->simulation(), tick);
+    source->Start(&harness->simulation(), tick, feedback_periods);
   }
 
   source_order_.resize(m);
@@ -308,7 +304,7 @@ void CooperativeScheduler::Initialize(Harness* harness) {
 }
 
 void CooperativeScheduler::OnObjectUpdate(ObjectIndex index, double t) {
-  sources_[object_source_[index]]->OnObjectUpdate(index, t);
+  sources_[harness_->spec(index).source_index]->OnObjectUpdate(index, t);
 }
 
 CacheAgent& CooperativeScheduler::cache(int c) {
@@ -637,15 +633,13 @@ void CooperativeScheduler::Tick(double t) {
     //    latency stays one tick at any depth); flat tier-1 nodes are the
     //    caches themselves and the pump is a no-op.
     relay_control_moved_->Increment(network_->PumpControlUpstream());
-    for (int32_t node : network_->tier1_nodes()) {
-      for (int32_t j : network_->mail_sources(node)) {
-        network_->TakeSourceMail(node, j, &control_mail_);
-        for (const Message& message : control_mail_) {
-          if (message.kind == MessageKind::kPullRequest) {
-            ServePull(message, t);
-          } else {
-            sources_[j]->OnFeedback(message, t);
-          }
+    for (int32_t box : network_->CollectTier1Mail()) {
+      const int32_t j = network_->TakeBoxMail(box, &control_mail_);
+      for (const Message& message : control_mail_) {
+        if (message.kind == MessageKind::kPullRequest) {
+          ServePull(message, t);
+        } else {
+          sources_[j]->OnFeedback(message, t);
         }
       }
     }

@@ -284,7 +284,6 @@ class CooperativeScheduler : public Scheduler {
   /// across ticks.
   std::vector<Message> control_mail_;
   std::vector<int> source_order_;
-  std::vector<int32_t> object_source_;
   /// Client read streams, residency/eviction and pull bookkeeping; inert
   /// (and branch-free on the hot paths) when the workload disables reads.
   ReadPath read_path_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "data/weight.h"
 #include "util/logging.h"
 
 namespace besync {
@@ -61,24 +60,20 @@ Result<Workload> MakeBuoyWorkload(const BuoyTraceConfig& config) {
   workload.num_sources = config.num_buoys;
   workload.objects_per_source = config.components_per_buoy;
   workload.has_fluctuating_weights = false;
-  workload.objects.reserve(traces.size());
+  workload.Reserve(traces.size(), traces.size());
 
   for (size_t i = 0; i < traces.size(); ++i) {
     ObjectSpec spec;
-    spec.index = static_cast<ObjectIndex>(i);
     spec.source_index = static_cast<int32_t>(i / config.components_per_buoy);
     // The first trace value doubles as the initial (synchronized) value.
     spec.initial_value = traces[i].empty() ? 0.0 : traces[i].front().value;
-    auto process = std::make_unique<TraceProcess>(std::move(traces[i]));
-    spec.lambda = process->rate();
-    spec.process = std::move(process);
-    spec.weight = MakeConstantWeight(1.0);
+    spec.update = workload.AddTrace(traces[i]);
     // Wind values move at most (max - min) per measurement; a practical
     // bound rate for Section 9 style policies.
     spec.max_divergence_rate =
         (config.max_value - config.min_value) / config.measurement_interval;
     spec.rng_seed = rng.NextUint64();
-    workload.objects.push_back(std::move(spec));
+    workload.AddObject(spec);
   }
   return workload;
 }

@@ -1,6 +1,8 @@
 #include "data/workload.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <utility>
 
 #include "util/logging.h"
@@ -21,36 +23,78 @@ std::string InterestPatternToString(InterestPattern pattern) {
   return "unknown";
 }
 
+ObjectIndex Workload::AddObject(const ObjectSpec& spec,
+                                std::initializer_list<int32_t> caches) {
+  return AddObject(spec, Span<const int32_t>(caches.begin(), caches.size()));
+}
+
+ObjectIndex Workload::AddObject(const ObjectSpec& spec, Span<const int32_t> caches) {
+  BESYNC_CHECK(!caches.empty()) << "an object needs at least one replica";
+  for (size_t r = 0; r < caches.size(); ++r) {
+    BESYNC_CHECK_GE(caches[r], 0);
+    if (r > 0) BESYNC_CHECK_GT(caches[r], caches[r - 1]) << "caches must ascend";
+  }
+  objects.push_back(spec);
+  replica_caches_.insert(replica_caches_.end(), caches.begin(), caches.end());
+  replica_offsets_.push_back(static_cast<int64_t>(replica_caches_.size()));
+  return static_cast<ObjectIndex>(objects.size() - 1);
+}
+
+void Workload::Reserve(size_t objects_to_add, size_t replicas) {
+  objects.reserve(objects.size() + objects_to_add);
+  replica_offsets_.reserve(replica_offsets_.size() + objects_to_add);
+  replica_caches_.reserve(replica_caches_.size() + replicas);
+}
+
+int32_t Workload::AddWeight(const Signal& signal) {
+  weights.push_back(signal);
+  return static_cast<int32_t>(weights.size() - 1);
+}
+
+UpdateModel Workload::AddTrace(const std::vector<TracePoint>& points) {
+  UpdateModel model;
+  model.kind = UpdateKind::kTrace;
+  BESYNC_CHECK_LE(trace_points_.size() + points.size(),
+                  size_t{std::numeric_limits<uint32_t>::max()})
+      << "trace store offsets are 32-bit";
+  model.trace_begin = static_cast<uint32_t>(trace_points_.size());
+  for (size_t i = 0; i < points.size(); ++i) {
+    BESYNC_CHECK(std::isfinite(points[i].time)) << "trace times must be finite";
+    if (i > 0) {
+      BESYNC_CHECK_GT(points[i].time, points[i - 1].time) << "trace times must increase";
+    }
+  }
+  if (points.size() >= 2) {
+    const double span = points.back().time - points.front().time;
+    model.rate = span > 0.0 ? static_cast<double>(points.size() - 1) / span : 0.0;
+  }
+  trace_points_.insert(trace_points_.end(), points.begin(), points.end());
+  trace_points_.push_back(TracePoint{std::numeric_limits<double>::infinity(), 0.0});
+  return model;
+}
+
+int Workload::replica_slot(ObjectIndex index, int32_t cache_id) const {
+  const Span<const int32_t> list = caches(index);
+  for (size_t r = 0; r < list.size(); ++r) {
+    if (list[r] == cache_id) return static_cast<int>(r);
+  }
+  return -1;
+}
+
 std::vector<std::vector<int32_t>> SourcesByCache(const Workload& workload) {
   std::vector<std::vector<int32_t>> sources(
       static_cast<size_t>(workload.num_caches));
-  // Objects are grouped by source and each spec's cache list is ascending,
-  // so appending while deduplicating against the back keeps lists sorted.
-  for (const ObjectSpec& spec : workload.objects) {
-    for (int32_t cache : spec.caches) {
+  // Objects are grouped by source and each object's cache list is
+  // ascending, so appending while deduplicating against the back keeps
+  // lists sorted.
+  for (ObjectIndex i = 0; i < workload.total_objects(); ++i) {
+    const int32_t source = workload.objects[i].source_index;
+    for (int32_t cache : workload.caches(i)) {
       auto& list = sources[cache];
-      if (list.empty() || list.back() != spec.source_index) {
-        list.push_back(spec.source_index);
-      }
+      if (list.empty() || list.back() != source) list.push_back(source);
     }
   }
   return sources;
-}
-
-ObjectSpec CloneObjectSpec(const ObjectSpec& spec) {
-  ObjectSpec clone;
-  clone.index = spec.index;
-  clone.source_index = spec.source_index;
-  clone.caches = spec.caches;
-  clone.lambda = spec.lambda;
-  clone.initial_value = spec.initial_value;
-  if (spec.process != nullptr) clone.process = spec.process->Clone();
-  if (spec.weight != nullptr) clone.weight = spec.weight->Clone();
-  if (spec.source_weight != nullptr) clone.source_weight = spec.source_weight->Clone();
-  clone.max_divergence_rate = spec.max_divergence_rate;
-  clone.refresh_cost = spec.refresh_cost;
-  clone.rng_seed = spec.rng_seed;
-  return clone;
 }
 
 Workload CloneWorkload(const Workload& workload) {
@@ -58,53 +102,53 @@ Workload CloneWorkload(const Workload& workload) {
   clone.num_sources = workload.num_sources;
   clone.objects_per_source = workload.objects_per_source;
   clone.num_caches = workload.num_caches;
-  clone.topology = workload.topology;  // plain data, copyable
+  clone.topology = workload.topology;
+  clone.objects = workload.objects;
+  clone.weights = workload.weights;
   clone.has_fluctuating_weights = workload.has_fluctuating_weights;
-  clone.read = workload.read;  // plain data, copyable
+  clone.read = workload.read;
   clone.read_streams.reserve(workload.read_streams.size());
   for (const std::unique_ptr<ReadProcess>& stream : workload.read_streams) {
     clone.read_streams.push_back(stream != nullptr ? stream->Clone() : nullptr);
   }
-  clone.faults = workload.faults;  // plain data, copyable
-  clone.objects.reserve(workload.objects.size());
-  for (const ObjectSpec& spec : workload.objects) {
-    clone.objects.push_back(CloneObjectSpec(spec));
-  }
+  clone.faults = workload.faults;
+  clone.replica_offsets_ = workload.replica_offsets_;
+  clone.replica_caches_ = workload.replica_caches_;
+  clone.trace_points_ = workload.trace_points_;
   return clone;
 }
 
 namespace {
 
-/// Assigns `spec->caches` for one object under the configured interest
+/// Number of caches replicating the next object under the configured
 /// pattern. `interest_rng` is drawn from only in kZipfOverlap mode, so the
 /// default patterns leave the generator stream untouched.
-void AssignInterest(const WorkloadConfig& config, Rng* interest_rng,
-                    ObjectSpec* spec) {
-  const int32_t primary =
-      spec->source_index % static_cast<int32_t>(config.num_caches);
+int InterestDegree(const WorkloadConfig& config, Rng* interest_rng) {
   switch (config.interest_pattern) {
     case InterestPattern::kSingleCache:
-      spec->caches = {0};
-      break;
     case InterestPattern::kPartitionedBySource:
-      spec->caches = {primary};
-      break;
+      return 1;
     case InterestPattern::kFullReplication:
-      spec->caches.resize(config.num_caches);
-      for (int c = 0; c < config.num_caches; ++c) spec->caches[c] = c;
-      break;
-    case InterestPattern::kZipfOverlap: {
-      const int degree = static_cast<int>(
+      return config.num_caches;
+    case InterestPattern::kZipfOverlap:
+      return static_cast<int>(
           interest_rng->Zipf(config.num_caches, config.zipf_overlap_exponent));
-      spec->caches.clear();
-      for (int k = 0; k < degree; ++k) {
-        spec->caches.push_back((primary + k) %
-                               static_cast<int32_t>(config.num_caches));
-      }
-      std::sort(spec->caches.begin(), spec->caches.end());
-      break;
-    }
   }
+  return 1;
+}
+
+/// Writes one object's interest list — `degree` caches starting at the
+/// source's primary cache (cache 0 for kSingleCache), wrapping, ascending —
+/// into `caches`.
+void AssignInterest(const WorkloadConfig& config, int32_t source_index, int degree,
+                    std::vector<int32_t>* caches) {
+  const int32_t num_caches = static_cast<int32_t>(config.num_caches);
+  const int32_t primary =
+      config.interest_pattern == InterestPattern::kFullReplication ? 0
+                                                                  : source_index % num_caches;
+  caches->clear();
+  for (int k = 0; k < degree; ++k) caches->push_back((primary + k) % num_caches);
+  std::sort(caches->begin(), caches->end());
 }
 
 }  // namespace
@@ -140,8 +184,8 @@ Result<Workload> MakeWorkload(const WorkloadConfig& config) {
   const int64_t total =
       static_cast<int64_t>(config.num_sources) * config.objects_per_source;
 
-  if (config.large_cost < 1) {
-    return Status::InvalidArgument("large_cost must be >= 1");
+  if (config.large_cost < 1 || config.large_cost > std::numeric_limits<int32_t>::max()) {
+    return Status::InvalidArgument("large_cost must be in [1, 2^31 - 1]");
   }
   if (config.relay_tiers < 0) {
     return Status::InvalidArgument("relay_tiers must be >= 0, got ",
@@ -230,59 +274,77 @@ Result<Workload> MakeWorkload(const WorkloadConfig& config) {
       MakeFaultSchedule(config.fault, config.num_caches, workload.topology);
   BESYNC_RETURN_IF_ERROR(
       workload.faults.Validate(workload.topology, config.num_caches));
-  workload.objects.reserve(total);
-
   // Interest assignment uses a dedicated stream so the default single-cache
   // path consumes no randomness and stays bit-identical to the historical
-  // generator output.
+  // generator output. A copy of the stream replays the replication degrees
+  // first, so the interest map is allocated once, exactly sized.
   Rng interest_rng(config.seed ^ 0x9e3779b97f4a7c15ULL);
+  {
+    Rng degree_rng = interest_rng;
+    size_t replicas = 0;
+    for (int64_t i = 0; i < total; ++i) {
+      replicas += static_cast<size_t>(InterestDegree(config, &degree_rng));
+    }
+    workload.Reserve(static_cast<size_t>(total), replicas);
+  }
+  std::vector<int32_t> caches;
+  caches.reserve(static_cast<size_t>(config.num_caches));
+
+  // Constant weights are shared: one signal per distinct value. Fluctuating
+  // weights draw their own parameters, so each object gets its own signal.
+  const bool fluctuating = config.weight_fluctuation_amplitude > 0.0;
+  int32_t heavy_weight_id = Workload::kUnitWeight;
+  if (fluctuating) {
+    workload.weights.reserve(static_cast<size_t>(total) + 1);
+  } else if (config.weight_scheme == WeightScheme::kHalfHeavy) {
+    heavy_weight_id = workload.AddWeight(Signal::Constant(config.heavy_weight));
+  }
 
   for (int64_t i = 0; i < total; ++i) {
     ObjectSpec spec;
-    spec.index = i;
     spec.source_index = static_cast<int32_t>(i / config.objects_per_source);
-    AssignInterest(config, &interest_rng, &spec);
+    AssignInterest(config, spec.source_index, InterestDegree(config, &interest_rng),
+                   &caches);
 
+    double lambda = 0.0;
     switch (config.rate_distribution) {
       case RateDistribution::kUniform:
-        spec.lambda = rng.Uniform(config.rate_lo, config.rate_hi);
+        lambda = rng.Uniform(config.rate_lo, config.rate_hi);
         break;
       case RateDistribution::kHalfSlowHalfFast:
-        spec.lambda = fast_half[i] ? config.fast_rate : config.slow_rate;
+        lambda = fast_half[i] ? config.fast_rate : config.slow_rate;
         break;
     }
 
     switch (config.update_model) {
       case WorkloadConfig::UpdateModel::kPoisson:
-        spec.process =
-            std::make_unique<PoissonRandomWalkProcess>(spec.lambda, config.value_step);
+        spec.update = UpdateModel::Poisson(lambda, config.value_step);
         break;
       case WorkloadConfig::UpdateModel::kBernoulli:
-        spec.process =
-            std::make_unique<BernoulliRandomWalkProcess>(spec.lambda, config.value_step);
+        spec.update = UpdateModel::Bernoulli(lambda, config.value_step);
         break;
     }
 
-    double base_weight = 1.0;
-    if (config.weight_scheme == WeightScheme::kHalfHeavy && heavy_half[i]) {
-      base_weight = config.heavy_weight;
+    const bool heavy = config.weight_scheme == WeightScheme::kHalfHeavy && heavy_half[i];
+    if (fluctuating) {
+      spec.weight_id = workload.AddWeight(MakeWeightFluctuation(
+          heavy ? config.heavy_weight : 1.0, config.weight_fluctuation_amplitude,
+          config.weight_period_min, config.weight_period_max, &rng));
+    } else if (heavy) {
+      spec.weight_id = heavy_weight_id;
     }
-    spec.weight = MakeWeightFluctuation(
-        base_weight, config.weight_fluctuation_amplitude, config.weight_period_min,
-        config.weight_period_max, &rng);
 
     if (config.cost_scheme == CostScheme::kHalfLarge && large_half[i]) {
-      spec.refresh_cost = config.large_cost;
+      spec.refresh_cost = static_cast<int32_t>(config.large_cost);
     }
 
     // Random-walk values diverge at most `step` per update, so the maximum
     // divergence rate under the value-deviation metric is lambda * step
     // (used only by the Section 9 bounding policy).
-    spec.max_divergence_rate = spec.lambda * config.value_step;
+    spec.max_divergence_rate = lambda * config.value_step;
 
-    spec.initial_value = 0.0;
     spec.rng_seed = rng.NextUint64();
-    workload.objects.push_back(std::move(spec));
+    workload.AddObject(spec, caches);
   }
 
   return workload;

@@ -2,6 +2,7 @@
 #define BESYNC_DATA_WORKLOAD_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,58 +14,58 @@
 #include "fault/fault_schedule.h"
 #include "util/fluctuation.h"
 #include "util/result.h"
+#include "util/span.h"
 
 namespace besync {
 
-/// Static description of one object in a workload. The update process and
-/// weight function are owned here; the per-run mutable state (value,
-/// version, trackers) lives in the scheduler harness.
+/// Static description of one object in a workload: a plain value (80
+/// bytes, no heap). The update model and the weight ids refer to data the
+/// workload owns (trace points, weight signals) and the object's replicas
+/// are its row of the workload's interest map; the per-run mutable state
+/// (value, version, RNG, trace cursor, trackers) lives in the harness.
 struct ObjectSpec {
-  ObjectIndex index = 0;
+  UpdateModel update;
   /// Which source hosts this object (0 .. m-1).
   int32_t source_index = 0;
-  /// Which caches replicate this object (the interest map), ascending and
-  /// duplicate-free. The default reproduces the paper's Figure-1 topology —
-  /// a single cache, so every object lives at cache 0 — but since the
-  /// multi-cache generalization any subset of 0 .. num_caches-1 is valid
-  /// (see InterestPattern for the generated shapes).
-  std::vector<int32_t> caches = {0};
-
-  /// Position of `cache_id` in `caches` (the object's replica slot at that
-  /// cache), or -1 if the cache does not replicate this object.
-  int replica_slot(int32_t cache_id) const {
-    for (size_t r = 0; r < caches.size(); ++r) {
-      if (caches[r] == cache_id) return static_cast<int>(r);
-    }
-    return -1;
-  }
-  int num_replicas() const { return static_cast<int>(caches.size()); }
-  /// Long-run average update rate (the lambda parameter); mirror of
-  /// process->rate() kept here for oracle access.
-  double lambda = 0.0;
-  double initial_value = 0.0;
-  std::unique_ptr<UpdateProcess> process;
-  /// Refresh weight W(O,t) (never null).
-  std::unique_ptr<Fluctuation> weight;
+  /// Refresh weight W(O,t): an index into Workload::weights (the default is
+  /// the unit weight).
+  int32_t weight_id = 0;
   /// Optional conflicting per-source weight for the competitive experiments
-  /// of Section 7 (null when sources and cache share one weighting scheme).
-  std::unique_ptr<Fluctuation> source_weight;
+  /// of Section 7, an index into Workload::weights; -1 when sources and
+  /// cache share one weighting scheme.
+  int32_t source_weight_id = -1;
+  /// Transmission cost of one refresh in bandwidth units (Section 10.1
+  /// non-uniform-cost extension); 1 = the paper's unit-size model.
+  int32_t refresh_cost = 1;
+  double initial_value = 0.0;
   /// Maximum divergence rate R_i for the divergence-bounding policy of
   /// Section 9 (<= 0 when unknown/unused).
   double max_divergence_rate = 0.0;
-  /// Transmission cost of one refresh in bandwidth units (Section 10.1
-  /// non-uniform-cost extension); 1 = the paper's unit-size model.
-  int64_t refresh_cost = 1;
   /// Seed for this object's private RNG stream; derived deterministically
   /// from the workload seed so update streams are identical across
   /// schedulers run on the same workload configuration.
   uint64_t rng_seed = 0;
+
+  /// Long-run average update rate (the lambda parameter) for oracle access.
+  double lambda() const { return update.mean_rate(); }
 };
+static_assert(sizeof(ObjectSpec) == 80, "the per-object build cost is bytes per spec");
 
 /// A complete multi-source workload: m sources with n objects each,
-/// replicated over `num_caches` caches according to the per-object interest
-/// map (`ObjectSpec::caches`).
-struct Workload {
+/// replicated over `num_caches` caches according to the interest map.
+///
+/// Everything a run reads is stored once, flat, and never changes during a
+/// run: the object specs, the interest map as a CSR (per-object offsets into
+/// one array of cache ids — the harness's trackers and the ground truth's
+/// entries are laid out by the same offsets), the weight signals and the
+/// trace points. Any number of runs may therefore share one workload
+/// concurrently, as long as it has no read_streams (see there).
+class Workload {
+ public:
+  /// Weight id of the constant unit weight (I(O,t) = P(O,t) = 1), always
+  /// present as weights[0].
+  static constexpr int32_t kUnitWeight = 0;
+
   int num_sources = 0;
   int objects_per_source = 0;
   /// Number of caches in the topology. 1 reproduces the paper's single-cache
@@ -75,7 +76,12 @@ struct Workload {
   /// store-and-forward relays (data/topology.h). Leaf count must equal
   /// num_caches when non-flat.
   TopologySpec topology;
-  std::vector<ObjectSpec> objects;  // size m*n, grouped by source
+  /// Size m*n, grouped by source. Append with AddObject, which also records
+  /// the object's replicas; fields of existing specs may be edited in place.
+  std::vector<ObjectSpec> objects;
+  /// The weight signals ObjectSpec::weight_id / source_weight_id refer to.
+  /// Objects share an entry when their weights are equal constants.
+  std::vector<Signal> weights = {Signal::Constant(1.0)};
   /// True if any weight fluctuates over time (enables periodic weight
   /// refresh in the divergence accounting).
   bool has_fluctuating_weights = false;
@@ -85,14 +91,39 @@ struct Workload {
   ReadWorkloadConfig read;
   /// Optional per-cache client read streams (size num_caches when set;
   /// empty = generate Poisson/Zipf streams from `read` when read_rate > 0).
-  /// Owned here like ObjectSpec::process, and mutated during a run (trace
-  /// cursors) — the same sharing hazard applies (exp/runner.h), and
-  /// CloneWorkload deep-copies them for the clone-per-job path.
+  /// Unlike the rest of the workload these are mutated during a run (the
+  /// stream cursors), so a workload that has them must not back two runs at
+  /// once; CloneWorkload deep-copies them for the clone-per-job path
+  /// (exp/runner.h).
   std::vector<std::unique_ptr<ReadProcess>> read_streams;
   /// Scripted fault events applied during the run (fault/fault_schedule.h).
   /// Empty (the default) keeps the fault layer entirely inert: fault-free
   /// runs are bitwise identical to the pre-fault engine.
   FaultSchedule faults;
+
+  /// Appends an object replicated at `caches` (ascending, duplicate-free,
+  /// non-negative; by default cache 0 only, the paper's Figure-1 topology)
+  /// and returns its index.
+  ObjectIndex AddObject(const ObjectSpec& spec, Span<const int32_t> caches);
+  ObjectIndex AddObject(const ObjectSpec& spec, std::initializer_list<int32_t> caches = {0});
+
+  /// Capacity hint for `objects` more objects with `replicas` replicas in
+  /// total.
+  void Reserve(size_t objects, size_t replicas);
+
+  /// Appends a weight signal and returns its id.
+  int32_t AddWeight(const Signal& signal);
+
+  /// Stores a time-ordered trace (strictly increasing, finite times) and
+  /// returns the kTrace update model that replays it.
+  UpdateModel AddTrace(const std::vector<TracePoint>& points);
+
+  /// Initial replay cursor of `model`: its first trace point (kTrace), null
+  /// for every other kind. Valid while the workload's traces are unchanged.
+  const TracePoint* TraceStart(const UpdateModel& model) const {
+    return model.kind == UpdateKind::kTrace ? trace_points_.data() + model.trace_begin
+                                            : nullptr;
+  }
 
   /// True when any client reads will be generated (rate-driven or
   /// trace-driven). Capacity limits apply independently of this.
@@ -100,13 +131,53 @@ struct Workload {
 
   int64_t total_objects() const { return static_cast<int64_t>(objects.size()); }
 
+  // --- the interest map ---
+  // Replicas are numbered globally: object i's replicas are
+  // replica_begin(i) .. replica_begin(i) + num_replicas(i) - 1, and the
+  // position within that range is the object's replica slot.
+
+  /// Caches replicating object `index`, ascending (slot order).
+  Span<const int32_t> caches(ObjectIndex index) const {
+    return Span<const int32_t>(replica_caches_.data() + replica_offsets_[index],
+                               static_cast<size_t>(num_replicas(index)));
+  }
+  int num_replicas(ObjectIndex index) const {
+    return static_cast<int>(replica_offsets_[index + 1] - replica_offsets_[index]);
+  }
+  /// Global id of object `index`'s first replica.
+  int64_t replica_begin(ObjectIndex index) const { return replica_offsets_[index]; }
+  /// Replica slot of object `index` at `cache_id`, or -1 if the cache does
+  /// not replicate it.
+  int replica_slot(ObjectIndex index, int32_t cache_id) const;
+  /// Cache of global replica `replica`.
+  int32_t replica_cache(int64_t replica) const { return replica_caches_[replica]; }
+  /// False when `objects` was appended to directly, bypassing AddObject.
+  bool interest_map_complete() const {
+    return replica_offsets_.size() == objects.size() + 1;
+  }
   /// Total number of (object, cache) replicas — the unit the multi-cache
   /// objective sums over.
-  int64_t total_replicas() const {
-    int64_t total = 0;
-    for (const ObjectSpec& spec : objects) total += spec.num_replicas();
-    return total;
+  int64_t total_replicas() const { return static_cast<int64_t>(replica_caches_.size()); }
+
+  /// Cache-scheme weight signal of object `index`.
+  const Signal& weight(ObjectIndex index) const {
+    return weights[objects[index].weight_id];
   }
+  /// Source-scheme weight signal (the cache scheme's when the object defines
+  /// no separate source weight).
+  const Signal& source_weight(ObjectIndex index) const {
+    const int32_t id = objects[index].source_weight_id;
+    return id >= 0 ? weights[id] : weight(index);
+  }
+
+ private:
+  friend Workload CloneWorkload(const Workload& workload);
+
+  /// CSR offsets (size objects + 1) into replica_caches_.
+  std::vector<int64_t> replica_offsets_ = {0};
+  std::vector<int32_t> replica_caches_;
+  /// Every trace's points, each followed by a sentinel at +infinity.
+  std::vector<TracePoint> trace_points_;
 };
 
 /// For each cache id 0..num_caches-1, the ascending duplicate-free list of
@@ -233,17 +304,12 @@ struct WorkloadConfig {
 /// identical per-object RNG seeds.
 Result<Workload> MakeWorkload(const WorkloadConfig& config);
 
-/// Deep copy of one object spec: scalar fields are copied and the owned
-/// polymorphic members (process, weight, source_weight) are Clone()d, so
-/// the copy shares no mutable state with the original.
-ObjectSpec CloneObjectSpec(const ObjectSpec& spec);
-
 /// Deep copy of a whole workload. The clone replays exactly the update
 /// stream the original would (same specs, same per-object RNG seeds, same
-/// process cursor state), yet owns every byte of it — running or mutating
-/// the clone leaves the original untouched. This is what lets one
-/// hand-constructed or trace-derived workload (e.g. MakeBuoyWorkload) fan
-/// out across concurrent runner jobs: each job runs a private clone
+/// read-stream cursor state), yet owns every byte of it — running or
+/// mutating the clone leaves the original untouched. This is what lets one
+/// hand-constructed or trace-derived workload with read streams fan out
+/// across concurrent runner jobs: each job runs a private clone
 /// (RunExperimentsOnWorkload in exp/runner.h).
 Workload CloneWorkload(const Workload& workload);
 

@@ -11,27 +11,17 @@ GroundTruth::GroundTruth(const Workload* workload, const DivergenceMetric* metri
     : workload_(workload), metric_(metric), use_source_weights_(use_source_weights) {
   BESYNC_CHECK(workload != nullptr);
   BESYNC_CHECK(metric != nullptr);
-  replica_base_.reserve(workload->objects.size());
-  size_t base = 0;
-  for (const ObjectSpec& spec : workload->objects) {
-    replica_base_.push_back(base);
-    BESYNC_CHECK_GE(spec.num_replicas(), 1);
-    base += static_cast<size_t>(spec.num_replicas());
+  BESYNC_CHECK(workload->interest_map_complete())
+      << "workload objects must be appended with Workload::AddObject";
+  num_entries_ = static_cast<size_t>(workload->total_replicas());
+  for (size_t e = 0; e < num_entries_; ++e) {
+    BESYNC_CHECK_LT(workload->replica_cache(static_cast<int64_t>(e)), workload->num_caches);
   }
-  num_entries_ = base;
   if (arena != nullptr) {
     entries_ = arena->AllocateArray<Entry>(num_entries_);
   } else {
     owned_entries_.resize(num_entries_);
     entries_ = owned_entries_.data();
-  }
-  for (size_t i = 0; i < workload->objects.size(); ++i) {
-    const ObjectSpec& spec = workload->objects[i];
-    for (int r = 0; r < spec.num_replicas(); ++r) {
-      BESYNC_CHECK_GE(spec.caches[r], 0);
-      BESYNC_CHECK_LT(spec.caches[r], workload->num_caches);
-      entries_[replica_base_[i] + r].cache_id = spec.caches[r];
-    }
   }
   const size_t caches = static_cast<size_t>(workload->num_caches);
   weighted_sum_.assign(caches, 0.0);
@@ -41,23 +31,23 @@ GroundTruth::GroundTruth(const Workload* workload, const DivergenceMetric* metri
 }
 
 size_t GroundTruth::ReplicaEntry(ObjectIndex index, int32_t cache_id) const {
-  const int slot = workload_->objects[index].replica_slot(cache_id);
+  const int slot = workload_->replica_slot(index, cache_id);
   BESYNC_CHECK_GE(slot, 0) << "object " << index << " has no replica at cache "
                            << cache_id;
-  return replica_base_[index] + static_cast<size_t>(slot);
+  return static_cast<size_t>(workload_->replica_begin(index) + slot);
 }
 
-const Fluctuation* GroundTruth::WeightFn(const ObjectSpec& spec) const {
-  return use_source_weights_ && spec.source_weight ? spec.source_weight.get()
-                                                   : spec.weight.get();
+const Signal& GroundTruth::WeightFn(ObjectIndex index) const {
+  return use_source_weights_ ? workload_->source_weight(index) : workload_->weight(index);
 }
 
 void GroundTruth::Initialize(double t) {
-  for (size_t i = 0; i < workload_->objects.size(); ++i) {
+  for (ObjectIndex i = 0; i < workload_->total_objects(); ++i) {
     const ObjectSpec& spec = workload_->objects[i];
-    const double weight = WeightFn(spec)->ValueAt(t);
-    for (int r = 0; r < spec.num_replicas(); ++r) {
-      Entry& entry = entries_[replica_base_[i] + r];
+    const double weight = WeightFn(i).ValueAt(t);
+    const int64_t begin = workload_->replica_begin(i);
+    for (int r = 0; r < workload_->num_replicas(i); ++r) {
+      Entry& entry = entries_[begin + r];
       entry.source_value = spec.initial_value;
       entry.source_version = 0;
       entry.cached_value = spec.initial_value;
@@ -85,61 +75,64 @@ void GroundTruth::AdvanceTo(double t) {
   }
 }
 
-void GroundTruth::SetDivergence(Entry* entry, double divergence) {
-  weighted_sum_[entry->cache_id] += (divergence - entry->divergence) * entry->weight;
-  unweighted_sum_[entry->cache_id] += divergence - entry->divergence;
-  entry->divergence = divergence;
+void GroundTruth::SetDivergence(size_t e, double divergence) {
+  Entry& entry = entries_[e];
+  const int32_t cache = workload_->replica_cache(static_cast<int64_t>(e));
+  weighted_sum_[cache] += (divergence - entry.divergence) * entry.weight;
+  unweighted_sum_[cache] += divergence - entry.divergence;
+  entry.divergence = divergence;
 }
 
 void GroundTruth::RebuildSums() {
   std::fill(weighted_sum_.begin(), weighted_sum_.end(), 0.0);
   std::fill(unweighted_sum_.begin(), unweighted_sum_.end(), 0.0);
-  for (size_t i = 0; i < num_entries_; ++i) {
-    const Entry& entry = entries_[i];
-    weighted_sum_[entry.cache_id] += entry.divergence * entry.weight;
-    unweighted_sum_[entry.cache_id] += entry.divergence;
+  for (size_t e = 0; e < num_entries_; ++e) {
+    const Entry& entry = entries_[e];
+    const int32_t cache = workload_->replica_cache(static_cast<int64_t>(e));
+    weighted_sum_[cache] += entry.divergence * entry.weight;
+    unweighted_sum_[cache] += entry.divergence;
   }
 }
 
 void GroundTruth::OnSourceUpdate(ObjectIndex index, double t, double value,
                                  int64_t version) {
   AdvanceTo(t);
-  const int replicas = workload_->objects[index].num_replicas();
-  for (int r = 0; r < replicas; ++r) {
-    Entry& entry = entries_[replica_base_[index] + r];
+  const size_t begin = static_cast<size_t>(workload_->replica_begin(index));
+  const size_t end = begin + static_cast<size_t>(workload_->num_replicas(index));
+  for (size_t e = begin; e < end; ++e) {
+    Entry& entry = entries_[e];
     entry.source_value = value;
     entry.source_version = version;
-    SetDivergence(&entry, metric_->Divergence(value, version, entry.cached_value,
-                                              entry.cached_version));
+    SetDivergence(e, metric_->Divergence(value, version, entry.cached_value,
+                                         entry.cached_version));
   }
 }
 
 void GroundTruth::OnCacheApply(ObjectIndex index, int32_t cache_id, double t,
                                double value, int64_t version) {
   AdvanceTo(t);
-  Entry& entry = entries_[ReplicaEntry(index, cache_id)];
+  const size_t e = ReplicaEntry(index, cache_id);
+  Entry& entry = entries_[e];
   // Refreshes may be delivered out of order relative to newer content only
   // in CGM-style protocols; never regress the cached version.
   if (version < entry.cached_version) return;
   entry.cached_value = value;
   entry.cached_version = version;
-  SetDivergence(&entry, metric_->Divergence(entry.source_value, entry.source_version,
-                                            value, version));
+  SetDivergence(e, metric_->Divergence(entry.source_value, entry.source_version, value,
+                                       version));
 }
 
 void GroundTruth::OnCacheApply(ObjectIndex index, double t, double value,
                                int64_t version) {
-  OnCacheApply(index, workload_->objects[index].caches.front(), t, value, version);
+  OnCacheApply(index, workload_->caches(index).front(), t, value, version);
 }
 
 void GroundTruth::RefreshWeights(double t) {
   AdvanceTo(t);
-  for (size_t i = 0; i < workload_->objects.size(); ++i) {
-    const ObjectSpec& spec = workload_->objects[i];
-    const double weight = WeightFn(spec)->ValueAt(t);
-    for (int r = 0; r < spec.num_replicas(); ++r) {
-      entries_[replica_base_[i] + r].weight = weight;
-    }
+  for (ObjectIndex i = 0; i < workload_->total_objects(); ++i) {
+    const double weight = WeightFn(i).ValueAt(t);
+    const int64_t begin = workload_->replica_begin(i);
+    for (int r = 0; r < workload_->num_replicas(i); ++r) entries_[begin + r].weight = weight;
   }
   RebuildSums();
 }

@@ -29,7 +29,7 @@ namespace besync {
 class GroundTruth {
  public:
   /// `workload` and `metric` must outlive this object. When
-  /// `use_source_weights` is set, objects that define a source_weight are
+  /// `use_source_weights` is set, objects that define a source weight are
   /// weighted by it instead of the cache weight (competitive experiments,
   /// Section 7). When `arena` is non-null the replica entry table lives in
   /// it (the harness passes its run arena so entries share the flat
@@ -85,10 +85,10 @@ class GroundTruth {
   // single-cache topologies, where every object has one replica).
 
   double cached_value(ObjectIndex index) const {
-    return entries_[replica_base_[index]].cached_value;
+    return entries_[workload_->replica_begin(index)].cached_value;
   }
   int64_t cached_version(ObjectIndex index) const {
-    return entries_[replica_base_[index]].cached_version;
+    return entries_[workload_->replica_begin(index)].cached_version;
   }
   double cached_value(ObjectIndex index, int32_t cache_id) const {
     return entries_[ReplicaEntry(index, cache_id)].cached_value;
@@ -97,13 +97,13 @@ class GroundTruth {
     return entries_[ReplicaEntry(index, cache_id)].cached_version;
   }
   double source_value(ObjectIndex index) const {
-    return entries_[replica_base_[index]].source_value;
+    return entries_[workload_->replica_begin(index)].source_value;
   }
   int64_t source_version(ObjectIndex index) const {
-    return entries_[replica_base_[index]].source_version;
+    return entries_[workload_->replica_begin(index)].source_version;
   }
   double current_divergence(ObjectIndex index) const {
-    return entries_[replica_base_[index]].divergence;
+    return entries_[workload_->replica_begin(index)].divergence;
   }
   double current_divergence(ObjectIndex index, int32_t cache_id) const {
     return entries_[ReplicaEntry(index, cache_id)].divergence;
@@ -137,28 +137,27 @@ class GroundTruth {
     int64_t cached_version = 0;
     double divergence = 0.0;
     double weight = 1.0;
-    int32_t cache_id = 0;
   };
 
-  /// Flat entry index of object `index`'s replica at `cache_id` (checked).
+  /// Entry (global replica id) of object `index`'s replica at `cache_id`
+  /// (checked).
   size_t ReplicaEntry(ObjectIndex index, int32_t cache_id) const;
-  /// Replaces an entry's divergence, maintaining the running sums.
-  void SetDivergence(Entry* entry, double divergence);
+  /// Replaces entry `e`'s divergence, maintaining its cache's running sums.
+  void SetDivergence(size_t e, double divergence);
   /// Rebuilds the running sums from scratch (bounds accumulation error).
   void RebuildSums();
-  const Fluctuation* WeightFn(const ObjectSpec& spec) const;
+  const Signal& WeightFn(ObjectIndex index) const;
 
   const Workload* workload_;
   const DivergenceMetric* metric_;
   bool use_source_weights_;
-  /// One entry per (object, cache) replica; an object's replicas are
-  /// contiguous, in the order of its ObjectSpec::caches list. Points into
-  /// the constructor's arena when one was given, else into owned_entries_.
+  /// One entry per (object, cache) replica, indexed by the workload's
+  /// global replica id (so an entry's cache is workload_->replica_cache).
+  /// Points into the constructor's arena when one was given, else into
+  /// owned_entries_.
   Entry* entries_ = nullptr;
   size_t num_entries_ = 0;
   std::vector<Entry> owned_entries_;
-  /// First entry of each object's replica range (size = #objects).
-  std::vector<size_t> replica_base_;
   // Running sums / integrals, one slot per cache.
   std::vector<double> weighted_sum_;    // Σ D * W at current time, per cache
   std::vector<double> unweighted_sum_;  // Σ D at current time, per cache

@@ -17,12 +17,13 @@ namespace besync {
 /// workload (in which case `config.workload` is ignored as a generator and
 /// serves only as JSON/tables metadata).
 ///
-/// WORKLOAD-SHARING HAZARD: a `Workload` must never be *shared* between
-/// concurrently running jobs. RunExperimentOnWorkload mutates state owned
-/// by the workload through `ObjectSpec::process` (`Harness::Run` calls
-/// `process->Reset()` on every object), so two jobs running over the same
-/// instance race and corrupt both runs. The runner therefore offers two
-/// safe paths, each giving every job a workload it exclusively owns:
+/// WORKLOAD SHARING: a run only reads the workload's objects, interest map,
+/// weights and traces (a trace's replay cursor is per-run harness state), so
+/// one workload may back any number of concurrent runs — except for
+/// `Workload::read_streams`, whose cursors a run advances (`ReadPath`
+/// resets and steps them). Jobs over a workload with read streams must not
+/// share it. The runner offers two paths, each giving every job a workload
+/// it exclusively owns:
 ///
 ///  1. Config rebuild (RunExperiments): each job builds its own workload
 ///     from `config.workload`. MakeWorkload is deterministic given its
@@ -33,9 +34,9 @@ namespace besync {
 ///
 ///  2. Clone per job (RunExperimentsOnWorkload): each job receives a
 ///     private CloneWorkload deep copy of one caller-supplied base
-///     workload. Correct — and the only option — for trace-derived or
-///     hand-constructed workloads that no WorkloadConfig can rebuild
-///     (e.g. MakeBuoyWorkload); also cheaper when cloning is cheaper than
+///     workload. Correct for trace-derived or hand-constructed workloads
+///     that no WorkloadConfig can rebuild (e.g. MakeBuoyWorkload), read
+///     streams included; also cheaper when cloning is cheaper than
 ///     rebuilding. The clones are exact copies, so every job observes the
 ///     *same* update stream by construction.
 ///
@@ -83,7 +84,7 @@ std::vector<JobResult> RunExperiments(const std::vector<ExperimentJob>& jobs,
 
 /// Clone-per-job variant: runs every job against a private CloneWorkload
 /// deep copy of `base_workload` instead of rebuilding from
-/// `config.workload` (hazard path 2 above). Use for trace-derived or
+/// `config.workload` (path 2 above). Use for trace-derived or
 /// hand-constructed workloads. The runner stamps each reported config's
 /// `workload.num_caches` from the base workload so JSON/table grid
 /// coordinates reflect the actual topology; the remaining

@@ -178,6 +178,13 @@ void Network::BuildMailBoxes(
     total += static_cast<int32_t>(mail_sources_[n].size());
   }
   boxes_.resize(static_cast<size_t>(total));
+  box_node_.resize(static_cast<size_t>(total));
+  for (int n = 0; n < nodes; ++n) {
+    std::fill(box_node_.begin() + mail_base_[n],
+              box_node_.begin() + mail_base_[n] +
+                  static_cast<int32_t>(mail_sources_[n].size()),
+              static_cast<int32_t>(n));
+  }
 }
 
 const std::vector<int32_t>& Network::mail_sources(int node) const {
@@ -217,7 +224,7 @@ void Network::BeginTick(double tick_start, double tick_len, ShardPool* pool) {
   }
   for (int32_t box : dirty_incoming_) {
     MailBox& mail = boxes_[box];
-    for (auto& message : mail.incoming) mail.deliverable.push_back(std::move(message));
+    for (auto& message : mail.incoming) Deliverable(box).push_back(std::move(message));
     mail.incoming.clear();
   }
   dirty_incoming_.clear();
@@ -339,8 +346,7 @@ void Network::BuildRouting() {
                    [&height](int32_t a, int32_t b) { return height[a] > height[b]; });
   tier1_nodes_.clear();
   for (int n = 0; n < nodes; ++n) {
-    if (n >= leaves && relay_alive_[n - leaves] == 0) continue;
-    if (effective_parent_[n] == -1) tier1_nodes_.push_back(static_cast<int32_t>(n));
+    if (IsTier1(n)) tier1_nodes_.push_back(static_cast<int32_t>(n));
   }
 }
 
@@ -364,8 +370,7 @@ void Network::FailRelay(int node) {
         << "control mail is only ever deposited at leaf edges";
     auto held = std::exchange(mail.deliverable, {});
     for (auto& message : held) {
-      boxes_[BoxOf(message.cache_id, sources[k])].deliverable.push_back(
-          std::move(message));
+      Deliverable(BoxOf(message.cache_id, sources[k])).push_back(std::move(message));
     }
   }
 }
@@ -406,7 +411,7 @@ int64_t Network::PumpControlUpstream() {
       for (size_t k = 0; k < sources.size(); ++k) {
         auto& from = boxes_[mail_base_[child] + static_cast<int32_t>(k)].deliverable;
         if (from.empty()) continue;
-        auto& to = boxes_[BoxOf(relay, sources[k])].deliverable;
+        auto& to = Deliverable(BoxOf(relay, sources[k]));
         moved += static_cast<int64_t>(from.size());
         for (auto& message : from) to.push_back(std::move(message));
         from.clear();
@@ -417,10 +422,47 @@ int64_t Network::PumpControlUpstream() {
 }
 
 void Network::TakeSourceMail(int node, int source_index, std::vector<Message>* out) {
-  out->clear();
   const int32_t box = FindBox(node, source_index);
+  if (box >= 0) {
+    TakeBoxMail(box, out);
+  } else {
+    out->clear();
+  }
+}
+
+int32_t Network::TakeBoxMail(int32_t box, std::vector<Message>* out) {
+  out->clear();
   // Swap only when there is mail, so idle boxes never pick up capacity.
-  if (box >= 0 && !boxes_[box].deliverable.empty()) out->swap(boxes_[box].deliverable);
+  if (!boxes_[box].deliverable.empty()) out->swap(boxes_[box].deliverable);
+  const int32_t node = box_node_[box];
+  return mail_sources_[node][box - mail_base_[node]];
+}
+
+std::vector<Message>& Network::Deliverable(int32_t box) {
+  std::vector<Message>& deliverable = boxes_[box].deliverable;
+  if (deliverable.empty()) deliverable_boxes_.push_back(box);
+  return deliverable;
+}
+
+const std::vector<int32_t>& Network::CollectTier1Mail() {
+  // Every box holding deliverable mail is listed (boxes drained since are
+  // stale entries, a refilled one may appear twice). Ascending box ids are
+  // node-major with ascending sources, and tier-1 nodes ascend, so this is
+  // the order of a nested tier1_nodes() x mail_sources() scan.
+  std::sort(deliverable_boxes_.begin(), deliverable_boxes_.end());
+  deliverable_boxes_.erase(
+      std::unique(deliverable_boxes_.begin(), deliverable_boxes_.end()),
+      deliverable_boxes_.end());
+  tier1_mail_.clear();
+  size_t kept = 0;
+  for (int32_t box : deliverable_boxes_) {
+    if (boxes_[box].deliverable.empty()) continue;
+    if (IsTier1(box_node_[box])) tier1_mail_.push_back(box);
+    // Kept for the next collection until a drain empties it.
+    deliverable_boxes_[kept++] = box;
+  }
+  deliverable_boxes_.resize(kept);
+  return tier1_mail_;
 }
 
 void Network::FinishTick() {

@@ -151,6 +151,15 @@ class Network {
   /// drain. A pair without a box has no mail.
   void TakeSourceMail(int node, int source_index, std::vector<Message>* out);
 
+  /// The boxes on tier-1 edges holding deliverable mail, ascending — the
+  /// pairs a TakeSourceMail scan over tier1_nodes() x mail_sources() would
+  /// find mail in, in that scan's order, without visiting the empty ones.
+  /// Call after PumpControlUpstream(); valid until the next call.
+  const std::vector<int32_t>& CollectTier1Mail();
+  /// TakeSourceMail for a box from CollectTier1Mail(); returns the box's
+  /// source.
+  int32_t TakeBoxMail(int32_t box, std::vector<Message>* out);
+
   // --- fault injection: relay failover ---
 
   /// Whether a relay node is currently forwarding (always true for leaves).
@@ -183,6 +192,14 @@ class Network {
   int32_t FindBox(int node, int source_index) const;
   /// FindBox for a pair that must exist (checked).
   int32_t BoxOf(int node, int source_index) const;
+  /// Box `box`'s deliverable queue, for appending: lists the box in
+  /// deliverable_boxes_ when the queue was empty.
+  std::vector<Message>& Deliverable(int32_t box);
+  /// Whether `node` is currently fed directly by the sources (in
+  /// tier1_nodes_).
+  bool IsTier1(int node) const {
+    return effective_parent_.empty() || (effective_parent_[node] == -1 && relay_alive(node));
+  }
   /// Lays out the mail boxes from the leaves' source lists (see the class
   /// comment); relay lists are closed over every possible child.
   void BuildMailBoxes(const std::vector<std::vector<int32_t>>& sources_by_cache);
@@ -238,6 +255,12 @@ class Network {
   /// independent, so visiting only the dirty boxes is behavior-identical
   /// to a scan.
   std::vector<int32_t> dirty_incoming_;
+  /// Node of each box.
+  std::vector<int32_t> box_node_;
+  /// Superset of the boxes with deliverable mail (see Deliverable).
+  std::vector<int32_t> deliverable_boxes_;
+  /// CollectTier1Mail's result buffer.
+  std::vector<int32_t> tier1_mail_;
   /// Every link (cache, source, relay ingress, relay egress), flattened for
   /// the sharded BeginTick partition. Built once; link sets never change
   /// after construction.

@@ -33,10 +33,8 @@ void ReadPath::Initialize(Harness* harness, int num_caches,
   // Ascending member list per cache (the objects a client of that cache
   // can read — its replicas).
   std::vector<std::vector<ObjectIndex>> members(static_cast<size_t>(num_caches));
-  for (size_t i = 0; i < workload.objects.size(); ++i) {
-    for (int32_t cache : workload.objects[i].caches) {
-      members[cache].push_back(static_cast<ObjectIndex>(i));
-    }
+  for (ObjectIndex i = 0; i < workload.total_objects(); ++i) {
+    for (int32_t cache : workload.caches(i)) members[cache].push_back(i);
   }
 
   caches_.reserve(static_cast<size_t>(num_caches));

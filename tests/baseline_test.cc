@@ -317,7 +317,7 @@ TEST(CGMSchedulerTest, EstimatesConvergeDuringRun) {
   double error_sum = 0.0;
   for (size_t i = 0; i < workload.objects.size(); ++i) {
     error_sum += std::abs(scheduler.EstimatedLambda(static_cast<ObjectIndex>(i)) -
-                          workload.objects[i].lambda);
+                          workload.objects[i].lambda());
   }
   const double mean_error = error_sum / workload.objects.size();
   EXPECT_LT(mean_error, 0.12);  // rates are in [0.05, 0.5]

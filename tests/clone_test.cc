@@ -7,6 +7,7 @@
 
 #include <limits>
 #include <sstream>
+#include <thread>
 
 #include "data/buoy_trace.h"
 #include "data/workload.h"
@@ -24,7 +25,7 @@ WorkloadConfig SmallSyntheticConfig() {
   config.rate_distribution = RateDistribution::kHalfSlowHalfFast;
   config.weight_scheme = WeightScheme::kHalfHeavy;
   config.cost_scheme = CostScheme::kHalfLarge;
-  config.weight_fluctuation_amplitude = 0.4;  // exercises SineFluctuation::Clone
+  config.weight_fluctuation_amplitude = 0.4;  // one sine weight per object
   config.seed = 42;
   return config;
 }
@@ -37,58 +38,58 @@ BuoyTraceConfig SmallBuoyConfig() {
   return config;
 }
 
-// Every UpdateProcess subclass: the clone, fed the same RNG stream, emits
-// exactly the update stream the original would have emitted — including
-// mid-replay cursor state for TraceProcess.
-TEST(CloneTest, ProcessClonesReplayIdenticalStreams) {
-  std::vector<std::unique_ptr<UpdateProcess>> processes;
-  processes.push_back(std::make_unique<PoissonRandomWalkProcess>(0.7, 2.0));
-  processes.push_back(std::make_unique<BernoulliRandomWalkProcess>(0.3, 1.5));
-  processes.push_back(std::make_unique<RegimeSwitchingProcess>(0.1, 2.0, 50.0));
-  processes.push_back(std::make_unique<DriftProcess>(0.25, 1.0));
-  processes.push_back(std::make_unique<TraceProcess>(std::vector<TracePoint>{
-      {1.0, 5.0}, {2.5, 6.0}, {4.0, 4.5}, {7.0, 5.5}}));
-
-  for (const auto& original : processes) {
-    // Advance the original a little so cursor state (TraceProcess) is
-    // mid-stream when cloned.
-    Rng warm(9);
-    double t = original->NextUpdateTime(0.0, &warm);
-    double value = 0.0;
-    if (t < std::numeric_limits<double>::infinity()) {
-      value = original->ApplyUpdate(value, &warm);
-    }
-
-    const std::unique_ptr<UpdateProcess> clone = original->Clone();
-    EXPECT_EQ(clone->rate(), original->rate());
-
-    Rng rng_a(123);
-    Rng rng_b(123);
-    double value_a = value;
-    double value_b = value;
-    double now = t;
-    for (int i = 0; i < 16; ++i) {
-      const double next_a = original->NextUpdateTime(now, &rng_a);
-      const double next_b = clone->NextUpdateTime(now, &rng_b);
-      EXPECT_EQ(next_a, next_b);
-      if (next_a == std::numeric_limits<double>::infinity()) break;
-      value_a = original->ApplyUpdate(value_a, &rng_a);
-      value_b = clone->ApplyUpdate(value_b, &rng_b);
-      EXPECT_EQ(value_a, value_b);
-      now = next_a;
+/// One object of every update-model kind, over a non-trivial interest map
+/// and weight table.
+Workload EveryKindWorkload() {
+  Workload workload;
+  workload.num_sources = 1;
+  workload.objects_per_source = 5;
+  workload.num_caches = 3;
+  const UpdateModel models[] = {
+      UpdateModel::Poisson(0.7, 2.0), UpdateModel::Bernoulli(0.3, 1.5),
+      UpdateModel::RegimeSwitching(0.1, 2.0, 50.0), UpdateModel::Drift(0.25, 1.0),
+      workload.AddTrace({{1.0, 5.0}, {2.5, 6.0}, {4.0, 4.5}, {7.0, 5.5}})};
+  for (size_t i = 0; i < 5; ++i) {
+    ObjectSpec spec;
+    spec.update = models[i];
+    spec.weight_id = workload.AddWeight(Signal::Sine(2.0, 0.5, 300.0, 1.25));
+    spec.rng_seed = 100 + i;
+    if (i % 2 == 0) {
+      workload.AddObject(spec, {0, 2});
+    } else {
+      workload.AddObject(spec, {1});
     }
   }
+  return workload;
 }
 
-TEST(CloneTest, FluctuationClonesMatchPointwise) {
-  const ConstantFluctuation constant(3.5);
-  const SineFluctuation sine(2.0, 0.5, 300.0, 1.25);
-  const Fluctuation* originals[] = {&constant, &sine};
-  for (const Fluctuation* original : originals) {
-    const std::unique_ptr<Fluctuation> clone = original->Clone();
-    EXPECT_EQ(clone->average(), original->average());
-    for (double t : {0.0, 17.3, 150.0, 299.9, 1234.5}) {
-      EXPECT_EQ(clone->ValueAt(t), original->ValueAt(t));
+// Every update-model kind: the clone's models, replayed from fresh cursors
+// with the same RNG stream, emit exactly the original's update stream.
+TEST(CloneTest, ModelsReplayIdenticalStreams) {
+  const Workload original = EveryKindWorkload();
+  const Workload clone = CloneWorkload(original);
+  ASSERT_EQ(clone.objects.size(), original.objects.size());
+  for (size_t i = 0; i < original.objects.size(); ++i) {
+    const UpdateModel& a = original.objects[i].update;
+    const UpdateModel& b = clone.objects[i].update;
+    EXPECT_EQ(b.mean_rate(), a.mean_rate());
+    const TracePoint* cursor_a = original.TraceStart(a);
+    const TracePoint* cursor_b = clone.TraceStart(b);
+    EXPECT_TRUE(a.kind != UpdateKind::kTrace || cursor_a != cursor_b);
+    Rng rng_a(123);
+    Rng rng_b(123);
+    double value_a = 0.0;
+    double value_b = 0.0;
+    double now = 0.0;
+    for (int k = 0; k < 16; ++k) {
+      const double next_a = a.NextUpdateTime(now, &rng_a, &cursor_a);
+      const double next_b = b.NextUpdateTime(now, &rng_b, &cursor_b);
+      EXPECT_EQ(next_a, next_b);
+      if (next_a == std::numeric_limits<double>::infinity()) break;
+      value_a = a.ApplyUpdate(value_a, &rng_a, &cursor_a);
+      value_b = b.ApplyUpdate(value_b, &rng_b, &cursor_b);
+      EXPECT_EQ(value_a, value_b);
+      now = next_a;
     }
   }
 }
@@ -102,25 +103,25 @@ TEST(CloneTest, CloneMatchesOriginalSpecs) {
   EXPECT_EQ(clone.objects_per_source, original.objects_per_source);
   EXPECT_EQ(clone.num_caches, original.num_caches);
   EXPECT_EQ(clone.has_fluctuating_weights, original.has_fluctuating_weights);
+  EXPECT_EQ(clone.total_replicas(), original.total_replicas());
   ASSERT_EQ(clone.objects.size(), original.objects.size());
-  for (size_t i = 0; i < original.objects.size(); ++i) {
+  for (ObjectIndex i = 0; i < original.total_objects(); ++i) {
     const ObjectSpec& a = original.objects[i];
     const ObjectSpec& b = clone.objects[i];
-    EXPECT_EQ(b.index, a.index);
     EXPECT_EQ(b.source_index, a.source_index);
-    EXPECT_EQ(b.caches, a.caches);
-    EXPECT_EQ(b.lambda, a.lambda);
+    EXPECT_EQ(b.lambda(), a.lambda());
     EXPECT_EQ(b.initial_value, a.initial_value);
     EXPECT_EQ(b.max_divergence_rate, a.max_divergence_rate);
     EXPECT_EQ(b.refresh_cost, a.refresh_cost);
     EXPECT_EQ(b.rng_seed, a.rng_seed);
-    // Deep, not shallow: the owned polymorphic members are fresh objects.
-    ASSERT_NE(b.process, nullptr);
-    ASSERT_NE(b.weight, nullptr);
-    EXPECT_NE(b.process.get(), a.process.get());
-    EXPECT_NE(b.weight.get(), a.weight.get());
-    EXPECT_EQ(b.process->rate(), a.process->rate());
-    EXPECT_EQ(b.weight->ValueAt(12.5), a.weight->ValueAt(12.5));
+    EXPECT_EQ(clone.replica_begin(i), original.replica_begin(i));
+    ASSERT_EQ(clone.num_replicas(i), original.num_replicas(i));
+    EXPECT_EQ(clone.caches(i)[0], original.caches(i)[0]);
+    // Deep, not shallow: the clone owns its interest map.
+    EXPECT_NE(clone.caches(i).data(), original.caches(i).data());
+    for (double t : {0.0, 12.5, 150.0, 1234.5}) {
+      EXPECT_EQ(clone.weight(i).ValueAt(t), original.weight(i).ValueAt(t));
+    }
   }
 }
 
@@ -164,33 +165,33 @@ TEST(CloneTest, MutatingCloneLeavesOriginalUntouched) {
       std::move(MakeBuoyWorkload(SmallBuoyConfig())).ValueOrDie();
   Workload clone = CloneWorkload(original);
 
-  // Advance every clone process cursor past several trace points.
-  Rng rng(5);
   for (ObjectSpec& spec : clone.objects) {
-    double now = 0.0;
-    for (int i = 0; i < 3; ++i) {
-      now = spec.process->NextUpdateTime(now, &rng);
-      spec.process->ApplyUpdate(0.0, &rng);
-    }
-    spec.caches.push_back(99);  // structural mutation
-    spec.lambda = -1.0;
+    spec.update = UpdateModel::Drift(5.0);
+    spec.initial_value = -1.0;
   }
+  clone.AddObject(clone.objects[0], {0, 99});  // structural mutation
+  clone.AddTrace({{1.0, 2.0}});
+  clone.weights[Workload::kUnitWeight] = Signal::Constant(7.0);
 
-  // The original still replays from the first trace point, and its specs
-  // are unchanged.
-  Rng rng2(5);
-  for (const ObjectSpec& spec : original.objects) {
-    const auto* trace = static_cast<const TraceProcess*>(spec.process.get());
-    EXPECT_GT(trace->num_points(), 0u);
-    EXPECT_EQ(spec.caches, std::vector<int32_t>{0});
-    EXPECT_GE(spec.lambda, 0.0);
-    // Cursor untouched: the next update is still the earliest trace time.
-    const double first = spec.process->NextUpdateTime(0.0, &rng2);
+  // The original still replays its traces from the first point, and its
+  // specs are unchanged.
+  EXPECT_EQ(original.total_objects(), clone.total_objects() - 1);
+  EXPECT_EQ(original.total_replicas(), original.total_objects());
+  Rng rng(5);
+  for (ObjectIndex i = 0; i < original.total_objects(); ++i) {
+    const ObjectSpec& spec = original.objects[i];
+    EXPECT_EQ(spec.update.kind, UpdateKind::kTrace);
+    EXPECT_EQ(original.caches(i)[0], 0);
+    EXPECT_GE(spec.lambda(), 0.0);
+    EXPECT_GE(spec.initial_value, 0.0);
+    EXPECT_EQ(original.weight(i).ValueAt(3.0), 1.0);
+    const TracePoint* cursor = original.TraceStart(spec.update);
+    const double first = spec.update.NextUpdateTime(0.0, &rng, &cursor);
     EXPECT_LE(first, SmallBuoyConfig().measurement_interval + 1e-9);
   }
 
-  // And a run over a fresh clone of the original still matches a run over
-  // the original itself (sequential reuse is safe after Reset).
+  // And a run over a fresh clone of the original matches a run over the
+  // original itself.
   ExperimentConfig config;
   config.harness.tick_length = 60.0;
   config.harness.warmup = 600.0;
@@ -199,10 +200,40 @@ TEST(CloneTest, MutatingCloneLeavesOriginalUntouched) {
   Workload fresh = CloneWorkload(original);
   const Result<RunResult> a = RunExperimentOnWorkload(config, &fresh);
   ASSERT_TRUE(a.ok());
-  Workload fresh2 = CloneWorkload(original);
-  const Result<RunResult> b = RunExperimentOnWorkload(config, &fresh2);
+  const Result<RunResult> b = RunExperimentOnWorkload(config, &original);
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->total_weighted_divergence, b->total_weighted_divergence);
+}
+
+// A run only reads its workload (trace cursors are per-run harness state),
+// so one trace-replay workload backs concurrent runs without CloneWorkload
+// and each gets the sequential run's result. Run under ThreadSanitizer in
+// CI, this is also the race check.
+TEST(CloneTest, SharedTraceWorkloadRunsConcurrently) {
+  const Workload shared =
+      std::move(MakeBuoyWorkload(SmallBuoyConfig())).ValueOrDie();
+  ExperimentConfig config;
+  config.harness.tick_length = 60.0;
+  config.harness.warmup = 600.0;
+  config.harness.measure = 3000.0;
+  config.cache_bandwidth_avg = 0.05;
+  const Result<RunResult> sequential = RunExperimentOnWorkload(config, &shared);
+  ASSERT_TRUE(sequential.ok());
+
+  Result<RunResult> results[2] = {Status::FailedPrecondition("not run"), Status::FailedPrecondition("not run")};
+  std::thread runs[2];
+  for (int k = 0; k < 2; ++k) {
+    runs[k] = std::thread(
+        [&, k] { results[k] = RunExperimentOnWorkload(config, &shared); });
+  }
+  for (std::thread& run : runs) run.join();
+  for (const Result<RunResult>& result : results) {
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->total_weighted_divergence, sequential->total_weighted_divergence);
+    EXPECT_EQ(result->per_object_unweighted, sequential->per_object_unweighted);
+    EXPECT_EQ(result->scheduler.refreshes_delivered,
+              sequential->scheduler.refreshes_delivered);
+  }
 }
 
 // Clone fan-out across the runner: threads=1 and threads=8 produce

@@ -14,18 +14,18 @@ namespace besync {
 namespace {
 
 std::unique_ptr<BandwidthModel> ConstantBandwidth(double rate) {
-  return std::make_unique<BandwidthModel>(std::make_unique<ConstantFluctuation>(rate));
+  return std::make_unique<BandwidthModel>(Signal::Constant(rate));
 }
 
 TEST(BandwidthModelTest, IntegerRateYieldsExactBudget) {
-  BandwidthModel model(std::make_unique<ConstantFluctuation>(5.0));
+  BandwidthModel model(Signal::Constant(5.0));
   for (int t = 0; t < 10; ++t) {
     EXPECT_EQ(model.BudgetForTick(t, 1.0), 5);
   }
 }
 
 TEST(BandwidthModelTest, FractionalRateAccumulatesCredit) {
-  BandwidthModel model(std::make_unique<ConstantFluctuation>(0.5));
+  BandwidthModel model(Signal::Constant(0.5));
   int64_t total = 0;
   for (int t = 0; t < 100; ++t) total += model.BudgetForTick(t, 1.0);
   EXPECT_EQ(total, 50);  // 0.5 msg/s over 100 s
@@ -338,6 +338,72 @@ TEST(NetworkMailTest, FailedRelayMailIsRedepositedInOrder) {
                 {0, 1}, {0, 4}, {0, 7}, {1, 0}, {1, 3}, {1, 6}}));
   EXPECT_EQ(seqs(TakeMail(&network, 5, 1)),
             (std::vector<std::pair<int32_t, int64_t>>{{0, 2}, {0, 5}, {0, 8}}));
+}
+
+// The scheduler drains only the boxes CollectTier1Mail lists. Over random
+// deposits, relay failures and recoveries, that visits exactly the mail a
+// TakeSourceMail scan over tier1_nodes() x mail_sources() finds, in the same
+// order.
+TEST(NetworkMailTest, CollectTier1MailMatchesNestedScan) {
+  for (const bool tree : {false, true}) {
+    NetworkConfig config;
+    config.num_sources = 5;
+    config.num_caches = 8;
+    if (tree) {
+      config.topology = MakeRelayTree(8, 2, 2);
+      AssignBackupParents(&config.topology);
+    }
+    const std::vector<std::vector<int32_t>> sources_by_cache = {
+        {0, 1}, {1}, {2, 3, 4}, {0}, {4}, {1, 2}, {3}, {0, 4}};
+    Rng rng_scan(1);
+    Rng rng_collect(1);
+    Network scanned(config, &rng_scan, sources_by_cache);
+    Network collected(config, &rng_collect, sources_by_cache);
+    Rng deposits(17);
+    int64_t seq = 0;
+    int64_t total = 0;
+    for (int tick = 0; tick < 40; ++tick) {
+      if (tree && tick == 10) {
+        scanned.FailRelay(8);
+        collected.FailRelay(8);
+      }
+      if (tree && tick == 25) {
+        scanned.RecoverRelay(8);
+        collected.RecoverRelay(8);
+      }
+      for (Network* network : {&scanned, &collected}) {
+        network->BeginTick(tick, 1.0);
+        network->PumpControlUpstream();
+      }
+      std::vector<std::pair<int32_t, int64_t>> expected;
+      std::vector<Message> mail;
+      for (int32_t node : scanned.tier1_nodes()) {
+        for (int32_t j : scanned.mail_sources(node)) {
+          scanned.TakeSourceMail(node, j, &mail);
+          for (const Message& message : mail) expected.push_back({j, message.version});
+        }
+      }
+      std::vector<std::pair<int32_t, int64_t>> actual;
+      for (int32_t box : collected.CollectTier1Mail()) {
+        const int32_t source = collected.TakeBoxMail(box, &mail);
+        EXPECT_FALSE(mail.empty()) << "listed box " << box << " had no mail";
+        for (const Message& message : mail) actual.push_back({source, message.version});
+      }
+      EXPECT_EQ(actual, expected) << (tree ? "tree" : "flat") << " tick " << tick;
+      total += static_cast<int64_t>(expected.size());
+      const int count = static_cast<int>(deposits.UniformInt(0, 12));
+      for (int k = 0; k < count; ++k) {
+        const int32_t cache = static_cast<int32_t>(deposits.UniformInt(0, 7));
+        const std::vector<int32_t>& sources = sources_by_cache[cache];
+        const int32_t source = sources[deposits.UniformInt(
+            0, static_cast<int64_t>(sources.size()) - 1)];
+        scanned.SendToSource(cache, source, Tagged(cache, seq));
+        collected.SendToSource(cache, source, Tagged(cache, seq));
+        ++seq;
+      }
+    }
+    EXPECT_GT(total, 100);
+  }
 }
 
 TEST(NetworkTest, FluctuatingBandwidthAverages) {

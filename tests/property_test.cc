@@ -135,7 +135,7 @@ class LinkConservationTest : public ::testing::TestWithParam<double> {};
 TEST_P(LinkConservationTest, EnqueuedEqualsDeliveredPlusDroppedPlusQueued) {
   const double loss = GetParam();
   Link link("fuzz", std::make_unique<BandwidthModel>(
-                        std::make_unique<ConstantFluctuation>(3.0)));
+                        Signal::Constant(3.0)));
   if (loss > 0.0) link.SetLossRate(loss, 77);
   Rng rng(5);
   int64_t enqueued = 0;
@@ -164,13 +164,13 @@ class BernoulliRateSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(BernoulliRateSweep, LongRunRateMatches) {
   const double p = GetParam();
-  BernoulliRandomWalkProcess process(p);
+  const UpdateModel process = UpdateModel::Bernoulli(p);
   Rng rng(31);
   double t = 0.0;
   int64_t count = 0;
   const double horizon = 50000.0;
   while (true) {
-    t = process.NextUpdateTime(t, &rng);
+    t = process.NextUpdateTime(t, &rng, nullptr);
     if (t >= horizon) break;
     ++count;
   }
@@ -184,13 +184,13 @@ class PoissonRateSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(PoissonRateSweep, LongRunRateMatches) {
   const double lambda = GetParam();
-  PoissonRandomWalkProcess process(lambda);
+  const UpdateModel process = UpdateModel::Poisson(lambda);
   Rng rng(33);
   double t = 0.0;
   int64_t count = 0;
   const double horizon = 20000.0;
   while (true) {
-    t = process.NextUpdateTime(t, &rng);
+    t = process.NextUpdateTime(t, &rng, nullptr);
     if (t >= horizon) break;
     ++count;
   }

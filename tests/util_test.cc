@@ -298,14 +298,14 @@ TEST(UtilizationStatTest, Ratio) {
 // ----------------------------------------------------------- Fluctuation
 
 TEST(FluctuationTest, ConstantIsConstant) {
-  ConstantFluctuation fluctuation(4.2);
+  const Signal fluctuation = Signal::Constant(4.2);
   EXPECT_DOUBLE_EQ(fluctuation.ValueAt(0.0), 4.2);
   EXPECT_DOUBLE_EQ(fluctuation.ValueAt(1e6), 4.2);
   EXPECT_DOUBLE_EQ(fluctuation.average(), 4.2);
 }
 
 TEST(FluctuationTest, SineStaysPositiveAndAveragesToBase) {
-  SineFluctuation fluctuation(10.0, 0.5, 100.0, 0.3);
+  const Signal fluctuation = Signal::Sine(10.0, 0.5, 100.0, 0.3);
   double sum = 0.0;
   const int kSteps = 10000;
   for (int i = 0; i < kSteps; ++i) {
@@ -320,29 +320,31 @@ TEST(FluctuationTest, SineStaysPositiveAndAveragesToBase) {
 
 TEST(FluctuationTest, BandwidthFactoryRespectsChangeRate) {
   Rng rng(1);
-  auto fluctuation = MakeBandwidthFluctuation(100.0, 0.25, &rng);
+  const Signal fluctuation = MakeBandwidthFluctuation(100.0, 0.25, &rng);
   // Max relative derivative = amplitude * 2*pi / period must equal mB.
-  auto* sine = dynamic_cast<SineFluctuation*>(fluctuation.get());
-  ASSERT_NE(sine, nullptr);
-  const double max_rate =
-      sine->relative_amplitude() * 2.0 * M_PI / sine->period();
+  const Wave& sine = fluctuation.factor(0);
+  ASSERT_GT(sine.relative_amplitude, 0.0);
+  EXPECT_EQ(fluctuation.factor(1).relative_amplitude, 0.0);
+  const double max_rate = sine.relative_amplitude * 2.0 * M_PI / sine.period;
   EXPECT_NEAR(max_rate, 0.25, 1e-9);
 }
 
 TEST(FluctuationTest, BandwidthFactoryZeroRateIsConstant) {
   Rng rng(1);
-  auto fluctuation = MakeBandwidthFluctuation(100.0, 0.0, &rng);
-  EXPECT_NE(dynamic_cast<ConstantFluctuation*>(fluctuation.get()), nullptr);
+  const Signal fluctuation = MakeBandwidthFluctuation(100.0, 0.0, &rng);
+  EXPECT_EQ(fluctuation.factor(0).relative_amplitude, 0.0);
+  EXPECT_EQ(fluctuation.factor(1).relative_amplitude, 0.0);
+  EXPECT_EQ(fluctuation.ValueAt(17.0), 100.0);
 }
 
 TEST(FluctuationTest, WeightFactoryDrawsWithinBounds) {
   Rng rng(2);
   for (int i = 0; i < 20; ++i) {
-    auto weight = MakeWeightFluctuation(2.0, 0.8, 100.0, 1000.0, &rng);
-    EXPECT_DOUBLE_EQ(weight->average(), 2.0);
+    const Signal weight = MakeWeightFluctuation(2.0, 0.8, 100.0, 1000.0, &rng);
+    EXPECT_DOUBLE_EQ(weight.average(), 2.0);
     for (double t : {0.0, 50.0, 123.0, 999.0}) {
-      EXPECT_GT(weight->ValueAt(t), 0.0);
-      EXPECT_LT(weight->ValueAt(t), 2.0 * 1.81);
+      EXPECT_GT(weight.ValueAt(t), 0.0);
+      EXPECT_LT(weight.ValueAt(t), 2.0 * 1.81);
     }
   }
 }
